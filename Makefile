@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs
+.PHONY: build test verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs durability-race
 
 build:
 	$(GO) build ./...
@@ -83,13 +83,28 @@ tenant-smoke:
 bench-allocs:
 	timeout 120 $(GO) test -run TestHotPathAllocBudget -count=1 -v .
 
+# durability-race runs the commit-pipeline tests ten times each under
+# the race detector: NoVoHT's deferred WAL commit (a ticket waited on
+# across a compaction), the digest wrapper releasing its leaf lock
+# before the wait, and core's apply → replica legs → local commit
+# sequence (leg order, failed local commit, one wait per durable batch,
+# copy convergence, quorum reads after a restart). The explicit
+# -timeout turns a stranded commit wait into a failure within minutes
+# instead of a stalled gate.
+DURABILITY_TESTS = TestCommitAfterCompactionReturns|TestTicketedMutations|TestCommitCoversEarlierRecords|TestTrackedReleasesLeafLockBeforeCommit|TestSyncLegLeavesBeforeLocalCommitWait|TestLocalCommitFailureAfterAckedLeg|TestDurableBatchWaitsOnce|TestConcurrentQuorumWritesConverge|TestQuorumReadsAfterRestart
+
+durability-race:
+	$(GO) test -race -count=10 -timeout 120s -run '^($(DURABILITY_TESTS))$$' ./internal/novoht ./internal/repair ./internal/core
+
 # verify is the pre-merge gate: formatting and docs checks, static
 # analysis, the full test suite (including the chaos soaks) under the
 # race detector, the hot-path allocation gate, and the batching +
 # crash-recovery + replica-repair + elastic-membership +
-# tunable-consistency + multi-tenancy smoke runs.
+# tunable-consistency + multi-tenancy smoke runs. The commit-pipeline
+# race loop runs first so a stranded wait fails fast.
 verify: fmt-check docs-check
 	$(GO) vet ./...
+	$(MAKE) durability-race
 	$(GO) test -race ./...
 	$(MAKE) bench-allocs
 	$(MAKE) bench-smoke

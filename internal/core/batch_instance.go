@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -142,7 +141,8 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 // nothing, so the client re-routes them together. Mutations hold their
 // keys' mutation stripes once across the group, and replication of
 // the successful mutations is coalesced into one batched OpReplicate
-// per replica.
+// per replica by the same pipelined sequence a single request takes
+// (applyGroup), so a durable group waits for one local commit.
 func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int, resps []*wire.Response) {
 	// fan writes a distinct pooled copy of r to every slot in the
 	// group: handleBatch releases each slot independently, so slots
@@ -192,10 +192,11 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 
 	// Lock the mutation stripes of every key the group mutates, in
 	// ascending stripe order (concurrent envelopes acquire in the same
-	// order, so they cannot deadlock), and hold them across apply +
-	// replication: same key → same stripe, so per-key replica order
-	// still matches apply order, while groups touching disjoint keys
-	// overlap — feeding the store's group-commit WAL whole batches.
+	// order, so they cannot deadlock), and hold them across apply,
+	// replication and commit: same key → same stripe, so per-key
+	// replica order still matches apply order, while groups touching
+	// disjoint keys overlap — feeding the store's group-commit WAL
+	// whole batches.
 	var stripes []int
 	seen := make(map[int]bool)
 	for _, i := range idxs {
@@ -212,141 +213,5 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 		in.mutLocks[st].Lock()
 		defer in.mutLocks[st].Unlock()
 	}
-	// applied collects the sub-ops whose mutation succeeded, in apply
-	// order — the order replicas must see them in — alongside the
-	// version each was stamped with and, where the leg value differs
-	// from the request's (appends), the full value the legs carry.
-	var applied []int
-	var vers []uint64
-	var legVals [][]byte
-	for _, i := range idxs {
-		if !in.mutates(subs[i]) {
-			resps[i] = in.applyKV(s, subs[i])
-			continue
-		}
-		ver := in.clock.Next()
-		r, legVal := in.applyPrimary(s, subs[i], ver)
-		resps[i] = r
-		if r.Status != wire.StatusOK {
-			if legVal != nil {
-				wire.PutBuffer(legVal)
-			}
-			continue
-		}
-		applied = append(applied, i)
-		vers = append(vers, ver)
-		legVals = append(legVals, legVal)
-	}
-	if len(applied) == 0 {
-		return
-	}
-	acked, copies := in.replicateBatch(table, p, subs, applied, vers, legVals)
-	for j, i := range applied {
-		if legVals[j] != nil {
-			wire.PutBuffer(legVals[j])
-		}
-		// Each sub-op's own write level is enforced against the acks
-		// the shared envelope fan-out collected: an envelope ack means
-		// that replica applied the whole group, so per-sub-op acks are
-		// identical and only the demanded level differs.
-		if need := in.writeLevel(subs[i]).Acks(copies); need > 1 {
-			in.met.quorumWrites.Inc()
-			if acked+1 < need {
-				resps[i].Status = wire.StatusError
-				resps[i].Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", acked+1, need)
-			}
-		}
-	}
-}
-
-// replicateBatch pushes a partition's successful mutations along the
-// replica chain as one batched OpReplicate envelope per replica
-// instead of one round trip per mutation. Envelopes go synchronously
-// (via CallBatch) to as many replicas as the strictest write level in
-// the group demands — an envelope ack counts only when every leg in
-// it succeeded — and through the per-destination async FIFO to the
-// rest; a single envelope enqueued there preserves the queue's
-// per-key ordering guarantee unchanged. Returns the envelope acks
-// collected and the copy count levels resolve against, so the caller
-// can enforce each sub-op's own level.
-func (in *Instance) replicateBatch(table *ring.Table, p int, subs []*wire.Request, applied []int, vers []uint64, legVals [][]byte) (acked, copies int) {
-	reps := table.ReplicasOf(p, in.cfg.Replicas)
-	copies = 1
-	for _, r := range reps {
-		if r.ID != in.self.ID {
-			copies++
-		}
-	}
-	if copies == 1 {
-		return 0, copies
-	}
-	syncNeed := 0
-	for _, i := range applied {
-		if n := in.writeLevel(subs[i]).Acks(copies) - 1; n > syncNeed {
-			syncNeed = n
-		}
-	}
-	fwds := make([]wire.Request, len(applied))
-	for j, i := range applied {
-		fwds[j] = replicaFwd(p, subs[i], vers[j], legVals[j])
-	}
-	first := true
-	for _, r := range reps {
-		if r.ID == in.self.ID {
-			continue
-		}
-		legs := make([]*wire.Request, len(fwds))
-		// As in replicate(): the first replica's envelope is always
-		// synchronous; the level only decides how many acks matter.
-		if first || acked < syncNeed {
-			first = false
-			for j := range fwds {
-				f := fwds[j]
-				f.Flags |= wire.FlagSyncReplica
-				legs[j] = &f
-			}
-			// As in replicate(): failed legs are counted and handed to
-			// hinted handoff for replay; an open breaker skips the
-			// transport attempt for a peer already known dead.
-			if !in.rbrk.allow(r.Addr) {
-				in.met.syncErrors.Add(int64(len(legs)))
-				for _, l := range legs {
-					in.hintLeg(r.Addr, l)
-				}
-				continue
-			}
-			rs, err := in.caller.CallBatch(r.Addr, legs)
-			if err != nil {
-				in.rbrk.failure(r.Addr)
-				in.met.syncErrors.Add(int64(len(legs)))
-				for _, l := range legs {
-					in.hintLeg(r.Addr, l)
-				}
-				continue
-			}
-			in.rbrk.success(r.Addr)
-			allOK := true
-			for j, resp := range rs {
-				if resp.Status != wire.StatusOK {
-					allOK = false
-					in.met.syncErrors.Inc()
-					if j < len(legs) {
-						in.hintLeg(r.Addr, legs[j])
-					}
-				}
-			}
-			if allOK && len(rs) == len(legs) {
-				acked++
-			}
-			continue
-		}
-		for j := range fwds {
-			f := fwds[j]
-			f.Value = append([]byte(nil), f.Value...)
-			f.Aux = append([]byte(nil), f.Aux...)
-			legs[j] = &f
-		}
-		in.enqueueAsync(r.Addr, wire.NewBatchRequest(legs))
-	}
-	return acked, copies
+	in.applyGroup(table, p, s, subs, idxs, resps)
 }

@@ -198,11 +198,12 @@ func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 					in.asyncWG.Done()
 					continue
 				}
-				if _, err := in.caller.Call(addr, r); err != nil {
+				if resp, err := in.caller.Call(addr, r); err != nil {
 					in.rbrk.failure(addr)
 					in.hintLeg(addr, r)
 				} else {
 					in.rbrk.success(addr)
+					wire.PutResponse(resp)
 				}
 				in.releaseAsyncLeg(r)
 				in.asyncWG.Done()
@@ -219,7 +220,7 @@ func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 }
 
 // releaseAsyncLeg recycles a consumed async-queue entry. Only batched
-// envelopes are pooled (replicateBatch builds them with
+// envelopes are pooled (replicate builds them with
 // wire.NewBatchRequest); single legs are ordinary heap requests the
 // GC owns.
 func (in *Instance) releaseAsyncLeg(r *wire.Request) {
@@ -375,7 +376,10 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	// that is the point — and never instantiate a store for a
 	// partition this node holds nothing of.
 	if req.Op == wire.OpLookup && req.Flags&wire.FlagReplicaRead != 0 {
-		s := in.storeIfPresent(p)
+		s, err := in.replicaReadStore(p)
+		if err != nil {
+			return errResp(err)
+		}
 		if s == nil {
 			return statusResp(wire.StatusNotFound)
 		}
@@ -439,36 +443,104 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	ml := &in.mutLocks[h%uint64(len(in.mutLocks))]
 	ml.Lock()
 	defer ml.Unlock()
-	// Replicated mutations are version-stamped so replicas resolve
-	// reordered legs last-writer-wins instead of diverging, then
-	// fanned out at the request's write level: success is withheld
-	// until Acks(copies) copies (local apply counts as one) hold the
-	// write.
-	ver := in.clock.Next()
-	resp, legVal := in.applyPrimary(s, req, ver)
-	if resp.Status != wire.StatusOK {
-		return resp
+	// A single request is a group of one: the same pipelined sequence
+	// as a batch group (applyGroup), with the stripe held until the
+	// verdict so per-key replica order matches apply order.
+	ops, idxs := [1]*wire.Request{req}, [1]int{0}
+	var resps [1]*wire.Response
+	in.applyGroup(table, p, s, ops[:], idxs[:], resps[:])
+	return resps[0]
+}
+
+// applyGroup runs one partition's ops — subs[i] for each i in idxs, in
+// that order — on the partition's owner (or acting owner), writing
+// each response to resps[i]. The caller holds the op lock and the
+// mutation stripe of every key the group mutates. Reads apply in
+// place, so they observe the group's earlier writes. Replicated
+// mutations take three steps, identical for a single request and a
+// batch group:
+//
+//  1. Apply: each is stamped with a version for last-writer-wins
+//     resolution across replicas, applied in memory, and its WAL
+//     record submitted without waiting (applyPrimary).
+//  2. Fan out: the applied mutations go to the replicas at the
+//     strictest write level among them — sync legs block, async legs
+//     are enqueued (replicate).
+//  3. Commit: wait once for the local WAL commit of the last record
+//     submitted, which covers every earlier record of the same store,
+//     then give each mutation its write-level verdict.
+//
+// The local commit and the replicas' commits therefore harden in
+// parallel: a write costs max(local commit, leg + replica commit)
+// instead of their sum, and a durable batch group waits for one local
+// commit instead of one per sub-op. Neither a failed leg nor a failed
+// local commit rolls the write back (DESIGN.md §12).
+func (in *Instance) applyGroup(table *ring.Table, p int, s storage.KV, subs []*wire.Request, idxs []int, resps []*wire.Response) {
+	// applied collects the sub-ops whose mutation succeeded, in apply
+	// order — the order replicas must see them in — alongside the
+	// version each was stamped with and, where the leg value differs
+	// from the request's (appends), the full value the legs carry.
+	var applied []int
+	var vers []uint64
+	var legVals [][]byte
+	var last storage.Ticket
+	for _, i := range idxs {
+		if !in.mutates(subs[i]) {
+			resps[i] = in.applyKV(s, subs[i])
+			continue
+		}
+		ver := in.clock.Next()
+		r, legVal, tk := in.applyPrimary(s, subs[i], ver)
+		resps[i] = r
+		if r.Status != wire.StatusOK {
+			if legVal != nil {
+				wire.PutBuffer(legVal)
+			}
+			continue
+		}
+		applied = append(applied, i)
+		vers = append(vers, ver)
+		legVals = append(legVals, legVal)
+		last = tk
 	}
-	level := in.writeLevel(req)
-	acked, copies := in.replicate(table, p, req, ver, legVal, level)
-	if legVal != nil {
-		// Every leg has copied or finished with the scratch by now
-		// (sync legs completed, async legs and handoff hold copies).
-		wire.PutBuffer(legVal)
+	if len(applied) == 0 {
+		return
 	}
-	if need := level.Acks(copies); need > 1 {
-		in.met.quorumWrites.Inc()
-		if acked+1 < need {
-			// The local apply is NOT rolled back: the write exists on
-			// fewer copies than the level demands, and anti-entropy or
-			// handoff replay will finish spreading it. The error tells
-			// the client its durability contract was not met, not that
-			// the write vanished (DESIGN.md §12).
-			resp.Status = wire.StatusError
-			resp.Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", acked+1, need)
+	acked, copies := in.replicate(table, p, subs, applied, vers, legVals)
+	for _, v := range legVals {
+		if v != nil {
+			// Every leg has copied or finished with the scratch by now
+			// (sync legs completed, async legs and handoff hold copies).
+			wire.PutBuffer(v)
 		}
 	}
-	return resp
+	var cerr error
+	if vkv, ok := s.(storage.VersionedKV); ok {
+		cerr = vkv.Commit(last)
+	}
+	for _, i := range applied {
+		need := in.writeLevel(subs[i]).Acks(copies)
+		if need > 1 {
+			in.met.quorumWrites.Inc()
+		}
+		switch {
+		case cerr != nil:
+			// The write is applied here and may already be on
+			// replicas that acked it; the error says this copy's
+			// durability is in doubt, not that the write vanished.
+			resps[i].Status = wire.StatusError
+			resps[i].Err = "core: local commit failed: " + cerr.Error()
+		case acked+1 < need:
+			// Success is withheld until Acks(copies) copies (local
+			// apply counts as one) hold the write. The local apply is
+			// NOT rolled back: anti-entropy or handoff replay will
+			// finish spreading it. The error tells the client its
+			// durability contract was not met, not that the write
+			// vanished.
+			resps[i].Status = wire.StatusError
+			resps[i].Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", acked+1, need)
+		}
+	}
 }
 
 // writeLevel resolves the effective write consistency for one
@@ -481,89 +553,114 @@ func (in *Instance) writeLevel(req *wire.Request) wire.Consistency {
 	return in.cfg.WriteLevel
 }
 
-// storeIfPresent returns partition p's store only if this instance
-// already holds one, never creating it.
-func (in *Instance) storeIfPresent(p int) storage.KV {
+// replicaReadStore resolves the store a replica read consults. A
+// partition this instance owns or replicates, per its table, opens
+// through store(p) like any other access: after a restart no store is
+// open until first touched, and a NotFound from an unopened log would
+// let two such copies outvote the owner's value in a quorum read. For
+// a partition it does not hold it returns the store already open, or
+// nil — never instantiating one.
+func (in *Instance) replicaReadStore(p int) (storage.KV, error) {
 	in.smu.Lock()
-	defer in.smu.Unlock()
-	return in.stores[p]
+	s := in.stores[p]
+	in.smu.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	table := in.tableRef()
+	if table.Instances[table.Owner[p]].ID != in.self.ID && !in.holdsReplica(table, p) {
+		return nil, nil
+	}
+	return in.store(p)
 }
 
 // applyPrimary applies a replicated mutation to the owner's store,
-// stamping the stored pair with ver. It returns the response plus the
+// stamping the stored pair with ver, and submits its WAL record
+// without waiting for it: the returned Ticket is the commit the
+// caller owes before acknowledging (applyGroup). It also returns the
 // value the replica legs must carry when it differs from req.Value
 // (append legs carry the full concatenated value: with versions,
 // appends replicate as whole-value inserts so a replica that missed
 // an earlier leg converges to the primary's bytes instead of
 // appending onto a different base). Falls back to the unversioned
-// applyKV when the store does not persist stamps.
-func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*wire.Response, []byte) {
+// applyKV, which commits before returning, when the store does not
+// persist stamps.
+func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*wire.Response, []byte, storage.Ticket) {
+	var none storage.Ticket
 	vkv, ok := s.(storage.VersionedKV)
 	if !ok {
-		return in.applyKV(s, req), nil
+		return in.applyKV(s, req), nil, none
 	}
+	// The per-key mutation stripe is held throughout: every
+	// check-then-put below is atomic with respect to every other
+	// client writer of this key.
 	switch req.Op {
 	case wire.OpInsert:
 		if req.Flags&wire.FlagIfAbsent != 0 {
-			// The per-key mutation stripe is held: check-then-put is
-			// atomic with respect to every other writer of this key. An
-			// expired TTL envelope counts as absent — lazy expiry must
-			// not block a fresh add (memcached `add` semantics).
+			// An expired TTL envelope counts as absent — lazy expiry
+			// must not block a fresh add (memcached `add` semantics).
 			if v, _, found, err := vkv.GetV(req.Key); err != nil {
-				return errResp(err), nil
+				return errResp(err), nil, none
 			} else if found && !tenant.Expired(v) {
-				return statusResp(wire.StatusExists), nil
+				return statusResp(wire.StatusExists), nil, none
 			}
 		}
-		if err := vkv.PutV(req.Key, req.Value, ver); err != nil {
-			return errResp(err), nil
+		tk, err := vkv.PutVTicket(req.Key, req.Value, ver)
+		if err != nil {
+			return errResp(err), nil, none
 		}
-		return statusResp(wire.StatusOK), nil
+		return statusResp(wire.StatusOK), nil, tk
 	case wire.OpRemove:
 		// The owner is the serialization point (mutation stripe), so
 		// the local delete is unconditional; ver rides the replica
 		// legs, where RemoveLWW refuses to delete a newer write.
-		ok, err := s.Remove(req.Key)
+		ok, tk, err := vkv.RemoveTicket(req.Key)
 		if err != nil {
-			return errResp(err), nil
+			return errResp(err), nil, none
 		}
 		if !ok {
-			return statusResp(wire.StatusNotFound), nil
+			return statusResp(wire.StatusNotFound), nil, none
 		}
-		return statusResp(wire.StatusOK), nil
+		return statusResp(wire.StatusOK), nil, tk
 	case wire.OpAppend:
 		buf := wire.GetBuffer()
 		old, _, _, err := vkv.GetAppendV(buf, req.Key)
 		if err != nil {
 			wire.PutBuffer(old)
-			return errResp(err), nil
+			return errResp(err), nil, none
 		}
 		full := append(old, req.Value...)
-		if err := vkv.PutV(req.Key, full, ver); err != nil {
+		tk, err := vkv.PutVTicket(req.Key, full, ver)
+		if err != nil {
 			wire.PutBuffer(full)
-			return errResp(err), nil
+			return errResp(err), nil, none
 		}
-		// full escapes into the replica legs (copied per leg by
-		// replicate); recycle the scratch afterwards is unsafe since
-		// legs alias it — the fan-out copies before returning, so the
-		// buffer is released there via legVal ownership passing back.
-		return statusResp(wire.StatusOK), full
+		// full becomes the legs' value; applyGroup returns it to the
+		// pool once every leg has copied or finished with it.
+		return statusResp(wire.StatusOK), full, tk
 	case wire.OpCas:
-		// CAS semantics (nil-vs-empty expectations, current-value
-		// reporting) live in the store; re-stamp the winner rather
-		// than re-implementing them here. The extra PutV is off the
-		// hot path — CAS is the rare op — and keeps behavior
-		// byte-identical to the engine's.
-		resp := in.applyKV(s, req)
-		if resp.Status == wire.StatusOK {
-			if err := vkv.PutV(req.Key, req.Value, ver); err != nil {
-				wire.PutResponse(resp)
-				return errResp(err), nil
-			}
+		// The engine's Cas semantics, checked under the stripe:
+		// FlagIfAbsent expects the key absent; otherwise Aux is the
+		// expected current value (nil Aux = expect an empty value,
+		// since the wire layer normalizes empty to nil), and an absent
+		// key never matches it. A mismatch reports the current value.
+		cur, _, found, err := vkv.GetV(req.Key)
+		if err != nil {
+			return errResp(err), nil, none
 		}
-		return resp, nil
+		expectAbsent := req.Flags&wire.FlagIfAbsent != 0
+		if found == expectAbsent || (found && string(cur) != string(req.Aux)) {
+			resp := statusResp(wire.StatusCasMismatch)
+			resp.Value = cur
+			return resp, nil, none
+		}
+		tk, err := vkv.PutVTicket(req.Key, req.Value, ver)
+		if err != nil {
+			return errResp(err), nil, none
+		}
+		return statusResp(wire.StatusOK), nil, tk
 	}
-	return in.applyKV(s, req), nil
+	return in.applyKV(s, req), nil, none
 }
 
 func (in *Instance) opLock(p int) *sync.RWMutex { return &in.opLocks[p%len(in.opLocks)] }
@@ -782,17 +879,22 @@ func (in *Instance) applyKV(s storage.KV, req *wire.Request) *wire.Response {
 	return r
 }
 
-// replicate pushes a mutation along the replica chain at the given
-// write level. Legs are synchronous until enough acks are in hand to
-// meet the level (local apply counts as the first ack), the rest
-// asynchronous — so Quorum reproduces the seed's
-// first-replica-sync/rest-async shape and All is every leg sync, the
-// old SyncReplication ablation. A failed sync leg promotes the next
-// replica in ring order to synchronous (straggler promotion): the
-// level counts acks, not positions. Returns the replica acks actually
-// collected and the number of copies (self + alive replicas) the
-// level was resolved against.
-func (in *Instance) replicate(table *ring.Table, p int, req *wire.Request, ver uint64, legVal []byte, level wire.Consistency) (acked, copies int) {
+// replicate pushes one partition's applied mutations — subs[i] for i
+// in applied, stamped vers[j], carrying legVals[j] when non-nil —
+// along the replica chain, as one message per replica: a single
+// OpReplicate leg for one mutation, one batched envelope of legs for
+// several. Replicas are synchronous until enough acks are in hand to
+// meet the strictest write level among the mutations (local apply
+// counts as the first ack), the rest asynchronous — so Quorum
+// reproduces the seed's first-replica-sync/rest-async shape and All
+// is every leg sync, the old SyncReplication ablation. A failed sync
+// leg promotes the next replica in ring order to synchronous
+// (straggler promotion): the level counts acks, not positions.
+// Returns the replica acks collected — an envelope acks only when
+// every leg in it succeeded, so each mutation's acks are the same —
+// and the number of copies (self + alive replicas) the levels were
+// resolved against.
+func (in *Instance) replicate(table *ring.Table, p int, subs []*wire.Request, applied []int, vers []uint64, legVals [][]byte) (acked, copies int) {
 	reps := table.ReplicasOf(p, in.cfg.Replicas)
 	copies = 1
 	for _, r := range reps {
@@ -800,8 +902,19 @@ func (in *Instance) replicate(table *ring.Table, p int, req *wire.Request, ver u
 			copies++
 		}
 	}
-	syncNeed := level.Acks(copies) - 1
-	fwd := replicaFwd(p, req, ver, legVal)
+	if copies == 1 {
+		return 0, copies
+	}
+	syncNeed := 0
+	for _, i := range applied {
+		if n := in.writeLevel(subs[i]).Acks(copies) - 1; n > syncNeed {
+			syncNeed = n
+		}
+	}
+	fwds := make([]wire.Request, len(applied))
+	for j, i := range applied {
+		fwds[j] = replicaFwd(p, subs[i], vers[j], legVals[j])
+	}
 	first := true
 	for _, r := range reps {
 		if r.ID == in.self.ID {
@@ -813,41 +926,80 @@ func (in *Instance) replicate(table *ring.Table, p int, req *wire.Request, ver u
 		// decides how many acks success WAITS on.
 		if first || acked < syncNeed {
 			first = false
-			f := fwd
-			f.Flags |= wire.FlagSyncReplica
-			// A failed sync leg is a consistency gap until repaired —
-			// count it, then hand the leg to hinted handoff so the gap
-			// closes when the peer answers again instead of persisting
-			// until the next full rebuild. An open replication breaker
-			// (peer already known dead) skips the transport attempt
-			// entirely: the dead peer costs nothing per mutation.
-			if !in.rbrk.allow(r.Addr) {
-				in.met.syncErrors.Inc()
-				in.hintLeg(r.Addr, &f)
-				continue
+			if in.syncLegs(r.Addr, fwds) {
+				acked++
 			}
-			resp, err := in.caller.Call(r.Addr, &f)
-			if err != nil {
-				in.rbrk.failure(r.Addr)
-				in.met.syncErrors.Inc()
-				in.hintLeg(r.Addr, &f)
-				continue
-			}
-			in.rbrk.success(r.Addr)
-			if resp.Status != wire.StatusOK {
-				in.met.syncErrors.Inc()
-				in.hintLeg(r.Addr, &f)
-				continue
-			}
-			acked++
 			continue
 		}
-		f := fwd
-		f.Value = append([]byte(nil), fwd.Value...)
-		f.Aux = append([]byte(nil), fwd.Aux...)
-		in.enqueueAsync(r.Addr, &f)
+		legs := make([]*wire.Request, len(fwds))
+		for j := range fwds {
+			f := fwds[j]
+			f.Value = append([]byte(nil), f.Value...)
+			f.Aux = append([]byte(nil), f.Aux...)
+			legs[j] = &f
+		}
+		if len(legs) == 1 {
+			in.enqueueAsync(r.Addr, legs[0])
+		} else {
+			in.enqueueAsync(r.Addr, wire.NewBatchRequest(legs))
+		}
 	}
 	return acked, copies
+}
+
+// syncLegs sends fwds to one replica synchronously and reports whether
+// it applied every one. A failed leg is a consistency gap until
+// repaired — it is counted, then handed to hinted handoff so the gap
+// closes when the peer answers again instead of persisting until the
+// next full rebuild. An open replication breaker (peer already known
+// dead) skips the transport attempt entirely: the dead peer costs
+// nothing per mutation.
+func (in *Instance) syncLegs(addr string, fwds []wire.Request) bool {
+	legs := make([]*wire.Request, len(fwds))
+	for j := range fwds {
+		f := fwds[j]
+		f.Flags |= wire.FlagSyncReplica
+		legs[j] = &f
+	}
+	fail := func() bool {
+		in.met.syncErrors.Add(int64(len(legs)))
+		for _, l := range legs {
+			in.hintLeg(addr, l)
+		}
+		return false
+	}
+	if !in.rbrk.allow(addr) {
+		return fail()
+	}
+	var rs []*wire.Response
+	var err error
+	if len(legs) == 1 {
+		var resp *wire.Response
+		if resp, err = in.caller.Call(addr, legs[0]); err == nil {
+			rs = []*wire.Response{resp}
+		}
+	} else {
+		rs, err = in.caller.CallBatch(addr, legs)
+	}
+	if err != nil {
+		in.rbrk.failure(addr)
+		return fail()
+	}
+	in.rbrk.success(addr)
+	allOK := len(rs) == len(legs)
+	for j, resp := range rs {
+		if resp.Status != wire.StatusOK {
+			allOK = false
+			in.met.syncErrors.Inc()
+			if j < len(legs) {
+				in.hintLeg(addr, legs[j])
+			}
+		}
+		// The caller owns the leg's response and has read all it
+		// needs from it.
+		wire.PutResponse(resp)
+	}
+	return allOK
 }
 
 // replicaFwd rewrites a successful primary mutation into the

@@ -52,7 +52,9 @@ func (in *Instance) replaySend(addr string, req *wire.Request) error {
 		return err
 	}
 	in.rbrk.success(addr)
-	if resp.Status == wire.StatusBusy {
+	busy := resp.Status == wire.StatusBusy
+	wire.PutResponse(resp)
+	if busy {
 		return errReplayBusy
 	}
 	return nil

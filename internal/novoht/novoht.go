@@ -330,18 +330,25 @@ func (s *Store) Put(key string, val []byte) error {
 // Put is exactly PutV(key, val, 0).
 func (s *Store) PutV(key string, val []byte, ver uint64) error {
 	defer s.timeOp(s.putLat)()
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	end, err := s.putShardLocked(sh, key, val, ver)
-	sh.mu.Unlock()
+	t, err := s.PutVTicket(key, val, ver)
 	if err != nil {
 		return err
 	}
-	return s.finishMutation(end)
+	return s.Commit(t)
+}
+
+// PutVTicket is PutV without the durability wait
+// (storage.VersionedKV): the pair is applied and its record submitted
+// under the shard lock, and the caller owes Commit(ticket) before
+// acknowledging the write.
+func (s *Store) PutVTicket(key string, val []byte, ver uint64) (storage.Ticket, error) {
+	sh := s.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if s.closed.Load() {
+		return storage.Ticket{}, ErrClosed
+	}
+	return s.putShardLocked(sh, key, val, ver)
 }
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
@@ -359,12 +366,12 @@ func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putShardLocked(sh, key, val, ver)
+	t, err := s.putShardLocked(sh, key, val, ver)
 	sh.mu.Unlock()
 	if err != nil {
 		return false, err
 	}
-	return true, s.finishMutation(end)
+	return true, s.Commit(t)
 }
 
 // timeOp starts timing an operation against h, returning the function
@@ -385,11 +392,11 @@ func nopTimer() {}
 // putShardLocked applies a Put under sh's lock: the record is
 // submitted to the WAL (offsets assigned in submission order, which
 // the shard lock makes per-key order) and the in-memory entry
-// updated. It returns the log offset the caller must wait durable.
-func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (int64, error) {
-	voff, end, err := s.appendRecord(recPut, key, val, ver)
+// updated. It returns the ticket the caller must wait durable.
+func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (storage.Ticket, error) {
+	voff, t, err := s.appendRecord(recPut, key, val, ver)
 	if err != nil {
-		return 0, err
+		return storage.Ticket{}, err
 	}
 	if old, ok := sh.m[key]; ok {
 		s.deadBytes.Add(recordSize(key, old.vlen, old.ver))
@@ -406,17 +413,17 @@ func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (i
 		s.resident.Add(1)
 	}
 	s.mutations.Add(1)
-	return end, nil
+	return t, nil
 }
 
 // appendRecord encodes and submits one log record, returning the
-// in-log offset of its value bytes and the offset its last byte will
-// occupy (the durability target). A non-zero ver upgrades the record
-// to its versioned variant (recPut→recPutV, recRemove→recRemoveV)
-// carrying the stamp.
-func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff, end int64, err error) {
+// in-log offset of its value bytes and the ticket naming its end in
+// its log epoch (the durability target). A non-zero ver upgrades the
+// record to its versioned variant (recPut→recPutV,
+// recRemove→recRemoveV) carrying the stamp.
+func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff int64, t storage.Ticket, err error) {
 	if s.wal == nil {
-		return 0, 0, nil
+		return 0, storage.Ticket{}, nil
 	}
 	if ver > 0 {
 		switch typ {
@@ -440,12 +447,12 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 	rec = append(rec, key...)
 	rec = append(rec, val...)
 	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	off, err := s.wal.append(rec)
+	off, epoch, err := s.wal.append(rec)
 	if err != nil {
 		putRec(rec)
-		return 0, 0, err
+		return 0, storage.Ticket{}, err
 	}
-	return off + int64(n) + int64(len(key)), off + int64(len(rec)), nil
+	return off + int64(n) + int64(len(key)), storage.Ticket{Epoch: epoch, End: off + int64(len(rec))}, nil
 }
 
 // Pooled WAL record buffers. Ownership is linear: appendRecord fills
@@ -475,10 +482,12 @@ func putRec(b []byte) {
 	}
 }
 
-// finishMutation runs the post-apply policy with no shard lock held:
-// enforce the memory bound, wait for the record's durability level,
-// and trigger auto-compaction.
-func (s *Store) finishMutation(end int64) error {
+// Commit runs the post-apply policy every mutation owes once its
+// shard lock is released: enforce the memory bound, wait for the
+// record's durability level, and trigger auto-compaction. The
+// mutations that return plainly run it themselves; a ticketed one
+// (storage.VersionedKV) leaves it to the caller.
+func (s *Store) Commit(t storage.Ticket) error {
 	if s.opts.MaxMemValues > 0 && s.resident.Load() > int64(s.opts.MaxMemValues) {
 		if err := s.evictToBound(); err != nil {
 			return err
@@ -487,7 +496,7 @@ func (s *Store) finishMutation(end int64) error {
 	if s.wal == nil {
 		return nil
 	}
-	if err := s.wal.waitDurable(end); err != nil {
+	if err := s.wal.waitDurable(t); err != nil {
 		return err
 	}
 	return s.maybeCompact()
@@ -506,12 +515,12 @@ func (s *Store) PutIfAbsent(key string, val []byte) (bool, error) {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putShardLocked(sh, key, val, 0)
+	t, err := s.putShardLocked(sh, key, val, 0)
 	sh.mu.Unlock()
 	if err != nil {
 		return false, err
 	}
-	return true, s.finishMutation(end)
+	return true, s.Commit(t)
 }
 
 // Get returns a copy of the value stored under key.
@@ -621,38 +630,48 @@ func (s *Store) loadEvicted(e *entry) error {
 
 // Remove deletes key, reporting whether it was present.
 func (s *Store) Remove(key string) (bool, error) {
-	return s.removeVer(key, 0, false)
+	return s.finishRemove(s.removeVer(key, 0, false))
 }
 
 // RemoveLWW deletes key only when ver is strictly newer than the
 // stored version (storage.VersionedKV), reporting whether the key was
 // removed.
 func (s *Store) RemoveLWW(key string, ver uint64) (bool, error) {
-	return s.removeVer(key, ver, true)
+	return s.finishRemove(s.removeVer(key, ver, true))
+}
+
+// RemoveTicket is Remove without the durability wait
+// (storage.VersionedKV); the caller owes Commit(ticket) when it
+// reports true.
+func (s *Store) RemoveTicket(key string) (bool, storage.Ticket, error) {
+	return s.removeVer(key, 0, false)
+}
+
+// finishRemove waits for a removal removeVer applied.
+func (s *Store) finishRemove(removed bool, t storage.Ticket, err error) (bool, error) {
+	if err != nil || !removed {
+		return false, err
+	}
+	return true, s.Commit(t)
 }
 
 // removeVer is the shared remove path; when lww is set the delete is
-// skipped unless ver beats the stored version.
-func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
+// skipped unless ver beats the stored version. It applies the removal
+// and submits its record, leaving the durability wait to the caller.
+func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, storage.Ticket, error) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
-		return false, ErrClosed
+		return false, storage.Ticket{}, ErrClosed
 	}
 	e, ok := sh.m[key]
-	if !ok {
-		sh.mu.Unlock()
-		return false, nil
+	if !ok || (lww && e.ver >= ver) {
+		return false, storage.Ticket{}, nil
 	}
-	if lww && e.ver >= ver {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	_, end, err := s.appendRecord(recRemove, key, nil, ver)
+	_, t, err := s.appendRecord(recRemove, key, nil, ver)
 	if err != nil {
-		sh.mu.Unlock()
-		return false, err
+		return false, storage.Ticket{}, err
 	}
 	s.deadBytes.Add(recordSize(key, e.vlen, e.ver) + recordSize(key, 0, ver))
 	if e.val != nil || e.vlen == 0 {
@@ -660,8 +679,7 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 	}
 	delete(sh.m, key)
 	s.mutations.Add(1)
-	sh.mu.Unlock()
-	return true, s.finishMutation(end)
+	return true, t, nil
 }
 
 // Append concatenates val to the value stored under key, creating the
@@ -682,7 +700,7 @@ func (s *Store) Append(key string, val []byte) error {
 			return err
 		}
 	}
-	_, end, err := s.appendRecord(recAppend, key, val, 0)
+	_, t, err := s.appendRecord(recAppend, key, val, 0)
 	if err != nil {
 		sh.mu.Unlock()
 		return err
@@ -699,7 +717,7 @@ func (s *Store) Append(key string, val []byte) error {
 	e.onDisk = false
 	s.mutations.Add(1)
 	sh.mu.Unlock()
-	return s.finishMutation(end)
+	return s.Commit(t)
 }
 
 // Cas atomically replaces the value under key with newVal when the
@@ -732,12 +750,12 @@ func (s *Store) Cas(key string, oldVal, newVal []byte) (bool, []byte, error) {
 		sh.mu.Unlock()
 		return false, v, nil
 	}
-	end, err := s.putShardLocked(sh, key, newVal, e.loadVer())
+	t, err := s.putShardLocked(sh, key, newVal, e.loadVer())
 	sh.mu.Unlock()
 	if err != nil {
 		return false, nil, err
 	}
-	return true, nil, s.finishMutation(end)
+	return true, nil, s.Commit(t)
 }
 
 // loadVer returns the entry's version, tolerating the nil entry the

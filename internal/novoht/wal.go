@@ -62,28 +62,30 @@ func newWAL(f *os.File, size int64, mode storage.Durability, window time.Duratio
 }
 
 // append enqueues one record and returns the logical offset its first
-// byte will occupy. The caller owes a matching waitDurable(off +
-// len(rec)) before acknowledging the mutation.
-func (w *wal) append(rec []byte) (off int64, err error) {
+// byte will occupy plus the log epoch it was appended in. The caller
+// owes a matching waitDurable(storage.Ticket{Epoch: epoch, End: off +
+// len(rec)}) before acknowledging the mutation.
+func (w *wal) append(rec []byte) (off int64, epoch uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return 0, w.err
+		return 0, 0, w.err
 	}
 	if w.closed {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	off = w.size
 	w.size += int64(len(rec))
 	w.pending = append(w.pending, rec)
 	w.cond.Broadcast()
-	return off, nil
+	return off, w.epoch, nil
 }
 
-// waitDurable blocks until the log prefix [0, target) has reached
-// this WAL's durability level: written for async, fsynced for group
-// and sync. It returns the sticky error if the WAL broke first.
-func (w *wal) waitDurable(target int64) error {
+// waitDurable blocks until the log prefix [0, t.End) of epoch t.Epoch
+// has reached this WAL's durability level: written for async, fsynced
+// for group and sync. It returns the sticky error if the WAL broke
+// first.
+func (w *wal) waitDurable(t storage.Ticket) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	watermark := func() int64 {
@@ -97,19 +99,21 @@ func (w *wal) waitDurable(target int64) error {
 		// the writer pushes the bytes to the OS in the background.
 		return nil
 	}
-	// A compaction can retire this record's offset while we wait: the
-	// checkpoint rewrite drains the log, persists every record
-	// appended so far (group and sync compactions fsync the new
-	// file), and swapFile rebases the watermarks to the new — often
-	// smaller — file. Our target offset then names a position in a
-	// file that no longer exists, so comparing it against the rebased
-	// watermark would block forever. An epoch change therefore means
+	// A compaction can retire this record's offset before or while we
+	// wait: the checkpoint rewrite drains the log, persists every
+	// record appended so far (group and sync compactions fsync the
+	// new file), and swapFile rebases the watermarks to the new —
+	// often smaller — file. The ticket's offset then names a position
+	// in a file that no longer exists, so comparing it against the
+	// rebased watermark could block forever. The epoch is the one the
+	// record was appended in (not the one current when the wait
+	// starts: the caller may have released its shard lock, and let a
+	// compaction run, long before waiting), and any change of it means
 	// the record is durable in the checkpoint.
-	epoch := w.epoch
-	for watermark() < target && w.epoch == epoch && w.err == nil && !w.stopped {
+	for watermark() < t.End && w.epoch == t.Epoch && w.err == nil && !w.stopped {
 		w.cond.Wait()
 	}
-	if w.epoch != epoch || watermark() >= target {
+	if w.epoch != t.Epoch || watermark() >= t.End {
 		return nil
 	}
 	if w.err != nil {

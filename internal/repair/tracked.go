@@ -23,7 +23,10 @@ import (
 // and new in) must be atomic per pair or a racing pair of writers
 // could toggle the same old value twice and corrupt the leaf forever.
 // Keys in different leaves proceed in parallel, preserving the
-// concurrency the sharded store underneath provides.
+// concurrency the sharded store underneath provides. The lock covers
+// the apply and the toggles only: PutV and Remove release it before
+// waiting for the write to become durable, so one key's commit wait
+// never holds up the rest of its leaf.
 type Tracked struct {
 	inner storage.KV
 	vkv   storage.VersionedKV // non-nil when inner persists versions
@@ -104,6 +107,19 @@ func (t *Tracked) Put(key string, val []byte) error {
 // unconditionally (storage.VersionedKV). On an unversioned inner
 // store the stamp is dropped.
 func (t *Tracked) PutV(key string, val []byte, ver uint64) error {
+	tk, err := t.PutVTicket(key, val, ver)
+	if err != nil {
+		return err
+	}
+	return t.Commit(tk)
+}
+
+// PutVTicket is PutV without the durability wait
+// (storage.VersionedKV): the pair is applied and the digest updated
+// under the leaf lock, and the caller owes Commit(ticket). Over an
+// unversioned inner store the put completes in full and the ticket is
+// zero.
+func (t *Tracked) PutVTicket(key string, val []byte, ver uint64) (storage.Ticket, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
@@ -111,22 +127,32 @@ func (t *Tracked) PutV(key string, val []byte, ver uint64) error {
 	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
 	defer putOld(sp, old)
 	if err != nil {
-		return err
+		return storage.Ticket{}, err
 	}
+	var tk storage.Ticket
 	if t.vkv != nil {
-		err = t.vkv.PutV(key, val, ver)
+		tk, err = t.vkv.PutVTicket(key, val, ver)
 	} else {
 		ver = 0
 		err = t.inner.Put(key, val)
 	}
 	if err != nil {
-		return err
+		return storage.Ticket{}, err
 	}
 	if had {
 		t.d.ToggleV(key, old, oldVer)
 	}
 	t.d.ToggleV(key, val, ver)
-	return nil
+	return tk, nil
+}
+
+// Commit waits for a ticketed mutation to become durable
+// (storage.VersionedKV).
+func (t *Tracked) Commit(tk storage.Ticket) error {
+	if t.vkv == nil {
+		return nil
+	}
+	return t.vkv.Commit(tk)
 }
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
@@ -247,6 +273,18 @@ func (t *Tracked) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, erro
 
 // Remove deletes key, reporting whether it was present.
 func (t *Tracked) Remove(key string) (bool, error) {
+	ok, tk, err := t.RemoveTicket(key)
+	if err != nil || !ok {
+		return false, err
+	}
+	return true, t.Commit(tk)
+}
+
+// RemoveTicket is Remove without the durability wait
+// (storage.VersionedKV); the caller owes Commit(ticket) when it
+// reports true. Over an unversioned inner store the removal completes
+// in full and the ticket is zero.
+func (t *Tracked) RemoveTicket(key string) (bool, storage.Ticket, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
@@ -254,13 +292,22 @@ func (t *Tracked) Remove(key string) (bool, error) {
 	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
 	defer putOld(sp, old)
 	if err != nil {
-		return false, err
+		return false, storage.Ticket{}, err
 	}
-	ok, err := t.inner.Remove(key)
-	if err == nil && ok && had {
+	var ok bool
+	var tk storage.Ticket
+	if t.vkv != nil {
+		ok, tk, err = t.vkv.RemoveTicket(key)
+	} else {
+		ok, err = t.inner.Remove(key)
+	}
+	if err != nil || !ok {
+		return false, storage.Ticket{}, err
+	}
+	if had {
 		t.d.ToggleV(key, old, oldVer)
 	}
-	return ok, err
+	return true, tk, nil
 }
 
 // Append concatenates val to the value under key, creating the key

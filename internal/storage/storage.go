@@ -97,6 +97,36 @@ type VersionedKV interface {
 	// ForEachV calls fn for every pair with its version; fn must not
 	// mutate the store.
 	ForEachV(fn func(key string, val []byte, ver uint64) error) error
+
+	// PutVTicket is PutV without the durability wait: the pair is
+	// applied in memory (visible to readers at once) and its log
+	// record submitted, and the returned Ticket names that record.
+	// The mutation is not acknowledged durable until Commit(ticket)
+	// returns nil. A replica owner uses the split to send its replica
+	// legs while its own commit is in flight.
+	PutVTicket(key string, val []byte, ver uint64) (Ticket, error)
+	// RemoveTicket is Remove without the durability wait; when it
+	// reports false nothing was submitted and the Ticket is zero.
+	RemoveTicket(key string) (bool, Ticket, error)
+	// Commit blocks until the mutation t names, and every mutation
+	// submitted to this store before it, has reached the store's
+	// durability level. The zero Ticket returns at once.
+	Commit(t Ticket) error
+}
+
+// Ticket names a mutation whose log record has been submitted but not
+// yet waited for (VersionedKV.PutVTicket, RemoveTicket). Records
+// submitted to one store commit in submission order, so waiting on the
+// latest ticket covers every earlier one. Engines without a log return
+// the zero Ticket.
+type Ticket struct {
+	// Epoch is the log generation the record was appended to. A
+	// compaction that rewrites the log starts a new generation, and a
+	// record from an older generation is durable in the rewrite, so
+	// its End no longer names a position in the current file.
+	Epoch uint64
+	// End is the log offset just past the record.
+	End int64
 }
 
 // Stats is a point-in-time snapshot of a store's internals.
