@@ -88,10 +88,12 @@ bench-allocs:
 # across a compaction), the digest wrapper releasing its leaf lock
 # before the wait, and core's apply → replica legs → local commit
 # sequence (leg order, failed local commit, one wait per durable batch,
-# copy convergence, quorum reads after a restart). The explicit
+# copy convergence, quorum reads after a restart), and the partition
+# path's stripe locking (single-op and 64-op batch writers on
+# overlapping keys must neither deadlock nor diverge). The explicit
 # -timeout turns a stranded commit wait into a failure within minutes
 # instead of a stalled gate.
-DURABILITY_TESTS = TestCommitAfterCompactionReturns|TestTicketedMutations|TestCommitCoversEarlierRecords|TestTrackedReleasesLeafLockBeforeCommit|TestSyncLegLeavesBeforeLocalCommitWait|TestLocalCommitFailureAfterAckedLeg|TestDurableBatchWaitsOnce|TestConcurrentQuorumWritesConverge|TestQuorumReadsAfterRestart
+DURABILITY_TESTS = TestCommitAfterCompactionReturns|TestTicketedMutations|TestCommitCoversEarlierRecords|TestTrackedReleasesLeafLockBeforeCommit|TestSyncLegLeavesBeforeLocalCommitWait|TestLocalCommitFailureAfterAckedLeg|TestDurableBatchWaitsOnce|TestConcurrentQuorumWritesConverge|TestQuorumReadsAfterRestart|TestMixedWritersConverge
 
 durability-race:
 	$(GO) test -race -count=10 -timeout 120s -run '^($(DURABILITY_TESTS))$$' ./internal/novoht ./internal/repair ./internal/core

@@ -133,18 +133,18 @@ func BenchmarkAblationReplication(b *testing.B) {
 	for _, cfg := range []struct {
 		name     string
 		replicas int
-		sync     bool
+		level    zht.Consistency
 	}{
-		{"r0", 0, false},
-		{"r1-async", 1, false},
-		{"r2-async", 2, false},
-		{"r1-sync", 1, true},
-		{"r2-sync", 2, true},
+		{"r0", 0, zht.ConsistencyDefault},
+		{"r1-async", 1, zht.ConsistencyDefault},
+		{"r2-async", 2, zht.ConsistencyDefault},
+		{"r1-sync", 1, zht.ConsistencyAll},
+		{"r2-sync", 2, zht.ConsistencyAll},
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
 			c := zht.Config{NumPartitions: 256, Replicas: cfg.replicas,
-				SyncReplication: cfg.sync, RetryBase: time.Millisecond}
+				WriteLevel: cfg.level, RetryBase: time.Millisecond}
 			d, _, err := zht.BootstrapInproc(c, 4)
 			if err != nil {
 				b.Fatal(err)

@@ -1,22 +1,23 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"zht/internal/ring"
 	"zht/internal/wire"
 )
 
-// Server side of the batched request path: one OpBatch envelope
-// carries N sub-operations, and the instance amortizes the per-request
-// cost — migration gate, ownership check, partition locks, replication
-// round trips — across every sub-op that lands on the same partition.
-// This is the apply-loop half of the pipeline the paper's
-// connection-caching ablation (§III.F) motivates at the transport
-// level: once messages are cheap to carry, the next win is making each
-// message carry more work.
+// Server side of the KV partition path. One OpBatch envelope carries N
+// sub-operations, and the instance amortizes the per-request cost —
+// migration gate, ownership check, partition locks, replication round
+// trips — across every sub-op that lands on the same partition. A
+// single request is the same path with a group of one (handleKV), so
+// the two cannot disagree. This is the apply-loop half of the pipeline
+// the paper's connection-caching ablation (§III.F) motivates at the
+// transport level: once messages are cheap to carry, the next win is
+// making each message carry more work.
 
 // tagPool and groupPool recycle the grouping scratch handleBatch uses
 // per envelope: composite (partition<<32 | index) tags, and the index
@@ -64,29 +65,23 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 		var p int
 		switch s.Op {
 		case wire.OpInsert, wire.OpLookup, wire.OpRemove, wire.OpAppend, wire.OpCas:
-			// Each KV sub-op passes the same admission and size gates as
-			// handleKV: a shed or oversized slot gets its verdict here
-			// and never joins a partition group, so one over-quota
-			// tenant's slots cannot ride a well-behaved tenant's batch.
-			if s.Flags&(wire.FlagNoReplicate|wire.FlagReplicaRead) == 0 {
-				if in.tooLarge(s) {
-					resps[i] = statusResp(wire.StatusTooLarge)
-					continue
-				}
-				if in.cfg.Admission != nil {
-					release, retry, ok := in.cfg.Admission.Admit(s.Key, len(s.Value))
-					if !ok {
-						r := statusResp(wire.StatusBusy)
-						r.RetryAfter = uint64(retry)
-						resps[i] = r
-						continue
-					}
-					releases = append(releases, release)
-				}
+			// Each KV sub-op passes the same gate as a single request: a
+			// shed or oversized slot gets its verdict here and never
+			// joins a partition group, so one over-quota tenant's slots
+			// cannot ride a well-behaved tenant's batch.
+			r, release := in.admit(s)
+			if r != nil {
+				resps[i] = r
+				continue
 			}
-			in.mu.RLock()
-			p = in.table.Partition(in.hashf(s.Key))
-			in.mu.RUnlock()
+			if release != nil {
+				releases = append(releases, release)
+			}
+			p = in.partitionOf(s.Key)
+			if isReplicaRead(s) {
+				resps[i] = in.replicaRead(p, s)
+				continue
+			}
 		case wire.OpReplicate:
 			// Batched replication legs apply in input order — the order
 			// the primary applied them — via the ordinary replicate
@@ -133,16 +128,15 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	return env
 }
 
-// applyBatchPartition runs one partition's sub-ops through the same
-// admission sequence as handleKV — migration gate, post-gate ownership
-// check, store resolution — but pays it once for the whole group.
-// Routing verdicts (WrongOwner, Migrating, errors) are fanned out to
-// every sub-op in the group: ops for one partition route all-or-
-// nothing, so the client re-routes them together. Mutations hold their
-// keys' mutation stripes once across the group, and replication of
-// the successful mutations is coalesced into one batched OpReplicate
-// per replica by the same pipelined sequence a single request takes
-// (applyGroup), so a durable group waits for one local commit.
+// applyBatchPartition is the one partition entry for KV ops: a single
+// request arrives as a group of one (handleKV), a batch as one group
+// per partition (handleBatch). It pays the partition's admission
+// sequence once for the whole group — migration gate and op lock,
+// post-gate ownership check with failover election, read-repair
+// scheduling, store resolution, mutation stripes — then applies the
+// group (applyGroup). Routing verdicts (WrongOwner, Migrating, errors)
+// are fanned out to every sub-op in the group: ops for one partition
+// route all-or-nothing, so the client re-routes them together.
 func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int, resps []*wire.Response) {
 	// fan writes a distinct pooled copy of r to every slot in the
 	// group: handleBatch releases each slot independently, so slots
@@ -154,7 +148,11 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 		}
 	}
 
-	// Migration gate + op lock, exactly as handleKV.
+	// Migration gate: if this partition is being given away, queue
+	// until the move resolves (paper queues requests during migration
+	// and answers with a redirect). The op lock's read side is held
+	// across gate re-check and application so an export cannot slip
+	// between them and lose an acknowledged write.
 	lock := in.opLock(p)
 	for {
 		if resp := in.migrationGate(p); resp != nil {
@@ -164,13 +162,16 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 		lock.RLock()
 		if in.isMigrating(p) {
 			lock.RUnlock()
-			continue
+			continue // a migration began while we acquired the lock
 		}
 		break
 	}
 	defer lock.RUnlock()
 
-	// Ownership on a post-gate snapshot (see handleKV for why).
+	// Ownership must be evaluated on a table snapshot taken AFTER the
+	// gate: a request racing a just-completed migration would
+	// otherwise pass the gate, then consult a pre-migration table and
+	// apply a write to a partition that has already moved away.
 	in.mu.RLock()
 	table := in.table
 	ownerIdx := table.Owner[p]
@@ -178,9 +179,22 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 	ownerFailed := table.Status[ownerIdx] != ring.Alive
 	in.mu.RUnlock()
 	if owner.ID != in.self.ID {
+		// Failover service: a replica answers for a failed primary
+		// (§III.H — queries for data on the failed node are answered
+		// by the replicas).
 		if !(ownerFailed && in.firstAliveReplica(table, p) == in.self.ID) {
 			fan(&wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)})
 			return
+		}
+		// Read-repair: a failover read means this replica is the
+		// partition's acting authority; schedule a digest compare
+		// against the other replicas so stale ranges heal without
+		// waiting for the next anti-entropy tick.
+		for _, i := range idxs {
+			if subs[i].Op == wire.OpLookup {
+				in.scheduleReadRepair(table, p)
+				break
+			}
 		}
 	}
 
@@ -190,28 +204,34 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 		return
 	}
 
-	// Lock the mutation stripes of every key the group mutates, in
-	// ascending stripe order (concurrent envelopes acquire in the same
-	// order, so they cannot deadlock), and hold them across apply,
-	// replication and commit: same key → same stripe, so per-key
-	// replica order still matches apply order, while groups touching
-	// disjoint keys overlap — feeding the store's group-commit WAL
-	// whole batches.
-	var stripes []int
-	seen := make(map[int]bool)
+	// Hold the mutation stripe of every key the group mutates across
+	// apply, replication and commit: same key → same stripe, so
+	// per-key replica order still matches apply order, while groups
+	// touching disjoint keys overlap — feeding the store's
+	// group-commit WAL whole batches. Lookups take no stripe.
+	var stripes uint64
 	for _, i := range idxs {
 		if in.mutates(subs[i]) {
-			st := int(in.hashf(subs[i].Key) % uint64(len(in.mutLocks)))
-			if !seen[st] {
-				seen[st] = true
-				stripes = append(stripes, st)
-			}
+			stripes |= 1 << (in.hashf(subs[i].Key) % uint64(len(in.mutLocks)))
 		}
 	}
-	sort.Ints(stripes)
-	for _, st := range stripes {
-		in.mutLocks[st].Lock()
-		defer in.mutLocks[st].Unlock()
-	}
+	in.lockStripes(stripes)
+	defer in.unlockStripes(stripes)
 	in.applyGroup(table, p, s, subs, idxs, resps)
+}
+
+// lockStripes locks the mutation stripes whose bits are set in mask,
+// in ascending stripe order: every holder of more than one stripe
+// acquires in the same order, so concurrent groups cannot deadlock.
+func (in *Instance) lockStripes(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		in.mutLocks[bits.TrailingZeros64(m)].Lock()
+	}
+}
+
+// unlockStripes releases the stripes lockStripes(mask) took.
+func (in *Instance) unlockStripes(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		in.mutLocks[bits.TrailingZeros64(m)].Unlock()
+	}
 }

@@ -31,15 +31,10 @@ type Config struct {
 	// to the primary. The first replica is updated synchronously,
 	// the rest asynchronously (§III.J).
 	Replicas int
-	// SyncReplication forces every replica (not only the first) to
-	// be updated synchronously. Deprecated: it survives as a legacy
-	// alias for WriteLevel = wire.ConsistencyAll (the replication
-	// ablation still sets it); prefer WriteLevel.
-	SyncReplication bool
 	// WriteLevel is the default write consistency: how many copies
 	// (primary + replicas) must acknowledge a mutation before the
 	// client sees success (DESIGN.md §12). Zero (ConsistencyDefault)
-	// means Quorum — or All when SyncReplication is set. Clients and
+	// means Quorum; All updates every replica synchronously. Clients and
 	// instances resolve per-request overrides against this default.
 	WriteLevel wire.Consistency
 	// ReadLevel is the default read consistency: how many copies a
@@ -183,9 +178,6 @@ func (c *Config) fill() error {
 	}
 	if c.WriteLevel == wire.ConsistencyDefault {
 		c.WriteLevel = wire.ConsistencyQuorum
-		if c.SyncReplication {
-			c.WriteLevel = wire.ConsistencyAll
-		}
 	}
 	if c.ReadLevel == wire.ConsistencyDefault {
 		c.ReadLevel = wire.ConsistencyOne

@@ -64,7 +64,9 @@ type Instance struct {
 	// Striping by key rather than by partition lets mutations of
 	// different keys overlap inside one partition store, which is
 	// what feeds the store's group-commit WAL more than one record
-	// per fsync. Lookups bypass these locks entirely.
+	// per fsync. Lookups bypass these locks entirely. A partition
+	// group holds its stripes as one uint64 mask (lockStripes), so
+	// the stripe count is 64.
 	mutLocks [64]sync.Mutex
 
 	bmu   sync.Mutex // guards bcast
@@ -341,115 +343,41 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	return &wire.Response{Status: wire.StatusError, Err: "core: unsupported op " + req.Op.String()}
 }
 
-// handleKV serves the four basic operations plus CAS.
+// handleKV serves the four basic operations plus CAS: the admission
+// gate, then either a replica read or a partition group of one through
+// applyBatchPartition, the path every batch group takes.
 func (in *Instance) handleKV(req *wire.Request) *wire.Response {
-	// Client-facing traffic passes the admission and size gates;
-	// internal legs (NoReplicate forwards, replica reads) bypass both —
-	// shedding a replication leg would turn an overload verdict into a
-	// durability gap, and internal values (TTL envelopes) may
-	// legitimately exceed the user-facing payload bound.
-	if req.Flags&(wire.FlagNoReplicate|wire.FlagReplicaRead) == 0 {
-		if in.tooLarge(req) {
-			return statusResp(wire.StatusTooLarge)
-		}
-		if in.cfg.Admission != nil {
-			release, retry, ok := in.cfg.Admission.Admit(req.Key, len(req.Value))
-			if !ok {
-				resp := statusResp(wire.StatusBusy)
-				resp.RetryAfter = uint64(retry)
-				return resp
-			}
-			defer release()
-		}
+	resp, release := in.admit(req)
+	if resp != nil {
+		return resp
 	}
-	h := in.hashf(req.Key)
-	// The partition index depends only on NumPartitions, which is
-	// immutable, so it can be computed from any table snapshot.
-	in.mu.RLock()
-	p := in.table.Partition(h)
-	in.mu.RUnlock()
-
-	// Replica reads bypass ownership and the migration gate: a quorum
-	// read's coordinator is asking THIS node for its local copy of the
-	// pair (plus its version stamp), explicitly not for the
-	// authoritative answer. Serve whatever is stored — possibly stale,
-	// that is the point — and never instantiate a store for a
-	// partition this node holds nothing of.
-	if req.Op == wire.OpLookup && req.Flags&wire.FlagReplicaRead != 0 {
-		s, err := in.replicaReadStore(p)
-		if err != nil {
-			return errResp(err)
-		}
-		if s == nil {
-			return statusResp(wire.StatusNotFound)
-		}
-		return in.applyKV(s, req)
+	if release != nil {
+		defer release()
 	}
-
-	// Migration gate: if this partition is being given away, queue
-	// until the move resolves (paper queues requests during
-	// migration and answers with a redirect). The op lock's read
-	// side is held across gate re-check and application so an
-	// export cannot slip between them and lose an acknowledged
-	// write.
-	lock := in.opLock(p)
-	for {
-		if resp := in.migrationGate(p); resp != nil {
-			return resp
-		}
-		lock.RLock()
-		if in.isMigrating(p) {
-			lock.RUnlock()
-			continue // a migration began while we acquired the lock
-		}
-		break
+	p := in.partitionOf(req.Key)
+	if isReplicaRead(req) {
+		return in.replicaRead(p, req)
 	}
-	defer lock.RUnlock()
-
-	// Ownership must be evaluated on a table snapshot taken AFTER the
-	// gate: a request racing a just-completed migration would
-	// otherwise pass the gate, then consult a pre-migration table and
-	// apply a write to a partition that has already moved away.
-	in.mu.RLock()
-	table := in.table
-	ownerIdx := table.Owner[p]
-	owner := table.Instances[ownerIdx]
-	ownerFailed := table.Status[ownerIdx] != ring.Alive
-	in.mu.RUnlock()
-
-	if owner.ID != in.self.ID {
-		// Failover service: a replica answers for a failed primary
-		// (§III.H — queries for data on the failed node are answered
-		// by the replicas).
-		if !(ownerFailed && in.firstAliveReplica(table, p) == in.self.ID) {
-			return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
-		}
-		if req.Op == wire.OpLookup {
-			// Read-repair: a failover read means this replica is the
-			// partition's acting authority; schedule a digest compare
-			// against the other replicas so stale ranges heal without
-			// waiting for the next anti-entropy tick.
-			in.scheduleReadRepair(table, p)
-		}
-	}
-
-	s, err := in.store(p)
-	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
-	}
-	if !in.mutates(req) {
-		return in.applyKV(s, req)
-	}
-	ml := &in.mutLocks[h%uint64(len(in.mutLocks))]
-	ml.Lock()
-	defer ml.Unlock()
-	// A single request is a group of one: the same pipelined sequence
-	// as a batch group (applyGroup), with the stripe held until the
-	// verdict so per-key replica order matches apply order.
 	ops, idxs := [1]*wire.Request{req}, [1]int{0}
 	var resps [1]*wire.Response
-	in.applyGroup(table, p, s, ops[:], idxs[:], resps[:])
+	in.applyBatchPartition(p, ops[:], idxs[:], resps[:])
 	return resps[0]
+}
+
+// partitionOf returns the partition key hashes to. The index depends
+// only on NumPartitions, which is immutable, so it can be computed
+// from any table snapshot.
+func (in *Instance) partitionOf(key string) int {
+	h := in.hashf(key)
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.table.Partition(h)
+}
+
+// isReplicaRead reports whether req asks for this node's local copy
+// rather than the authoritative answer (a quorum read's fan-out).
+func isReplicaRead(req *wire.Request) bool {
+	return req.Op == wire.OpLookup && req.Flags&wire.FlagReplicaRead != 0
 }
 
 // applyGroup runs one partition's ops — subs[i] for each i in idxs, in
@@ -514,10 +442,7 @@ func (in *Instance) applyGroup(table *ring.Table, p int, s storage.KV, subs []*w
 			wire.PutBuffer(v)
 		}
 	}
-	var cerr error
-	if vkv, ok := s.(storage.VersionedKV); ok {
-		cerr = vkv.Commit(last)
-	}
+	cerr := s.Commit(last)
 	for _, i := range applied {
 		need := in.writeLevel(subs[i]).Acks(copies)
 		if need > 1 {
@@ -553,25 +478,33 @@ func (in *Instance) writeLevel(req *wire.Request) wire.Consistency {
 	return in.cfg.WriteLevel
 }
 
-// replicaReadStore resolves the store a replica read consults. A
-// partition this instance owns or replicates, per its table, opens
-// through store(p) like any other access: after a restart no store is
-// open until first touched, and a NotFound from an unopened log would
-// let two such copies outvote the owner's value in a quorum read. For
-// a partition it does not hold it returns the store already open, or
-// nil — never instantiating one.
-func (in *Instance) replicaReadStore(p int) (storage.KV, error) {
+// replicaRead serves a replica read (isReplicaRead), single or
+// batched. Replica reads bypass ownership and the migration gate: a
+// quorum read's coordinator is asking THIS node for its local copy of
+// the pair (plus its version stamp), explicitly not for the
+// authoritative answer, so whatever is stored is served — possibly
+// stale, that is the point. A partition this instance owns or
+// replicates, per its table, opens through store(p) like any other
+// access: after a restart no store is open until first touched, and a
+// NotFound from an unopened log would let two such copies outvote the
+// owner's value in a quorum read. A partition it does not hold
+// answers from the store already open, or NotFound — never
+// instantiating one.
+func (in *Instance) replicaRead(p int, req *wire.Request) *wire.Response {
 	in.smu.Lock()
 	s := in.stores[p]
 	in.smu.Unlock()
-	if s != nil {
-		return s, nil
+	if s == nil {
+		table := in.tableRef()
+		if table.Instances[table.Owner[p]].ID != in.self.ID && !in.holdsReplica(table, p) {
+			return statusResp(wire.StatusNotFound)
+		}
+		var err error
+		if s, err = in.store(p); err != nil {
+			return errResp(err)
+		}
 	}
-	table := in.tableRef()
-	if table.Instances[table.Owner[p]].ID != in.self.ID && !in.holdsReplica(table, p) {
-		return nil, nil
-	}
-	return in.store(p)
+	return in.applyKV(s, req)
 }
 
 // applyPrimary applies a replicated mutation to the owner's store,
@@ -582,15 +515,9 @@ func (in *Instance) replicaReadStore(p int) (storage.KV, error) {
 // (append legs carry the full concatenated value: with versions,
 // appends replicate as whole-value inserts so a replica that missed
 // an earlier leg converges to the primary's bytes instead of
-// appending onto a different base). Falls back to the unversioned
-// applyKV, which commits before returning, when the store does not
-// persist stamps.
+// appending onto a different base).
 func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*wire.Response, []byte, storage.Ticket) {
 	var none storage.Ticket
-	vkv, ok := s.(storage.VersionedKV)
-	if !ok {
-		return in.applyKV(s, req), nil, none
-	}
 	// The per-key mutation stripe is held throughout: every
 	// check-then-put below is atomic with respect to every other
 	// client writer of this key.
@@ -599,13 +526,13 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 		if req.Flags&wire.FlagIfAbsent != 0 {
 			// An expired TTL envelope counts as absent — lazy expiry
 			// must not block a fresh add (memcached `add` semantics).
-			if v, _, found, err := vkv.GetV(req.Key); err != nil {
+			if v, _, found, err := s.GetV(req.Key); err != nil {
 				return errResp(err), nil, none
 			} else if found && !tenant.Expired(v) {
 				return statusResp(wire.StatusExists), nil, none
 			}
 		}
-		tk, err := vkv.PutVTicket(req.Key, req.Value, ver)
+		tk, err := s.PutVTicket(req.Key, req.Value, ver)
 		if err != nil {
 			return errResp(err), nil, none
 		}
@@ -614,7 +541,7 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 		// The owner is the serialization point (mutation stripe), so
 		// the local delete is unconditional; ver rides the replica
 		// legs, where RemoveLWW refuses to delete a newer write.
-		ok, tk, err := vkv.RemoveTicket(req.Key)
+		ok, tk, err := s.RemoveTicket(req.Key)
 		if err != nil {
 			return errResp(err), nil, none
 		}
@@ -624,13 +551,13 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 		return statusResp(wire.StatusOK), nil, tk
 	case wire.OpAppend:
 		buf := wire.GetBuffer()
-		old, _, _, err := vkv.GetAppendV(buf, req.Key)
+		old, _, _, err := s.GetAppendV(buf, req.Key)
 		if err != nil {
 			wire.PutBuffer(old)
 			return errResp(err), nil, none
 		}
 		full := append(old, req.Value...)
-		tk, err := vkv.PutVTicket(req.Key, full, ver)
+		tk, err := s.PutVTicket(req.Key, full, ver)
 		if err != nil {
 			wire.PutBuffer(full)
 			return errResp(err), nil, none
@@ -644,7 +571,7 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 		// expected current value (nil Aux = expect an empty value,
 		// since the wire layer normalizes empty to nil), and an absent
 		// key never matches it. A mismatch reports the current value.
-		cur, _, found, err := vkv.GetV(req.Key)
+		cur, _, found, err := s.GetV(req.Key)
 		if err != nil {
 			return errResp(err), nil, none
 		}
@@ -654,7 +581,7 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 			resp.Value = cur
 			return resp, nil, none
 		}
-		tk, err := vkv.PutVTicket(req.Key, req.Value, ver)
+		tk, err := s.PutVTicket(req.Key, req.Value, ver)
 		if err != nil {
 			return errResp(err), nil, none
 		}
@@ -664,28 +591,6 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 }
 
 func (in *Instance) opLock(p int) *sync.RWMutex { return &in.opLocks[p%len(in.opLocks)] }
-
-// tooLarge screens client requests against the deployment-wide
-// payload bounds (Config.MaxKeyLen/MaxValueLen; 0 = unbounded). Only
-// ops that grow state are screened: Lookup and Remove of an oversized
-// key are harmless and must stay able to read/delete pairs written
-// before a limit was tightened. Append is bounded per-op — the
-// accumulated value can still grow past MaxValueLen across appends,
-// which is documented in DESIGN.md §13.
-func (in *Instance) tooLarge(req *wire.Request) bool {
-	if in.cfg.MaxKeyLen == 0 && in.cfg.MaxValueLen == 0 {
-		return false
-	}
-	switch req.Op {
-	case wire.OpInsert, wire.OpAppend, wire.OpCas:
-	default:
-		return false
-	}
-	if in.cfg.MaxKeyLen > 0 && len(req.Key) > in.cfg.MaxKeyLen {
-		return true
-	}
-	return in.cfg.MaxValueLen > 0 && len(req.Value) > in.cfg.MaxValueLen
-}
 
 // mutates reports whether req is a mutation this instance must push
 // along the replica chain.
@@ -770,73 +675,32 @@ func (in *Instance) applyKV(s storage.KV, req *wire.Request) *wire.Response {
 		}
 		return statusResp(wire.StatusOK)
 	case wire.OpLookup:
-		// Copy-reduced read: stores that support scratch-buffer reads
-		// copy the value once, shard to pooled buffer, and the buffer
-		// rides the response back to the pool after encoding. Versioned
-		// stores additionally return the pair's stamp — quorum-read
+		// Copy-reduced read: the value is copied once, shard to pooled
+		// buffer, and the buffer rides the response back to the pool
+		// after encoding. The pair's stamp rides along — quorum-read
 		// coordinators resolve copies newest-version-wins.
-		if vg, ok := s.(storage.VersionedKV); ok {
-			buf := wire.GetBuffer()
-			v, ver, found, err := vg.GetAppendV(buf, req.Key)
-			if err != nil {
-				wire.PutBuffer(v)
-				return errResp(err)
-			}
-			if !found || len(v) == 0 {
-				wire.PutBuffer(v)
-				if !found {
-					return statusResp(wire.StatusNotFound)
-				}
-				resp := statusResp(wire.StatusOK)
-				resp.Version = ver
-				return resp
-			}
-			if tenant.Expired(v) {
-				wire.PutBuffer(v)
-				in.met.expiredReads.Inc()
+		v, ver, found, err := s.GetAppendV(wire.GetBuffer(), req.Key)
+		if err != nil {
+			wire.PutBuffer(v)
+			return errResp(err)
+		}
+		if !found || len(v) == 0 {
+			wire.PutBuffer(v)
+			if !found {
 				return statusResp(wire.StatusNotFound)
 			}
 			resp := statusResp(wire.StatusOK)
-			resp.SetPooledValue(v)
 			resp.Version = ver
 			return resp
 		}
-		if ag, ok := s.(storage.ScratchGetter); ok {
-			buf := wire.GetBuffer()
-			v, found, err := ag.GetAppend(buf, req.Key)
-			if err != nil {
-				wire.PutBuffer(v)
-				return errResp(err)
-			}
-			if !found || len(v) == 0 {
-				wire.PutBuffer(v)
-				if !found {
-					return statusResp(wire.StatusNotFound)
-				}
-				return statusResp(wire.StatusOK)
-			}
-			if tenant.Expired(v) {
-				wire.PutBuffer(v)
-				in.met.expiredReads.Inc()
-				return statusResp(wire.StatusNotFound)
-			}
-			resp := statusResp(wire.StatusOK)
-			resp.SetPooledValue(v)
-			return resp
-		}
-		v, ok, err := s.Get(req.Key)
-		if err != nil {
-			return errResp(err)
-		}
-		if !ok {
-			return statusResp(wire.StatusNotFound)
-		}
 		if tenant.Expired(v) {
+			wire.PutBuffer(v)
 			in.met.expiredReads.Inc()
 			return statusResp(wire.StatusNotFound)
 		}
 		resp := statusResp(wire.StatusOK)
-		resp.Value = v
+		resp.SetPooledValue(v)
+		resp.Version = ver
 		return resp
 	case wire.OpRemove:
 		ok, err := s.Remove(req.Key)
@@ -887,9 +751,9 @@ func (in *Instance) applyKV(s storage.KV, req *wire.Request) *wire.Response {
 // meet the strictest write level among the mutations (local apply
 // counts as the first ack), the rest asynchronous — so Quorum
 // reproduces the seed's first-replica-sync/rest-async shape and All
-// is every leg sync, the old SyncReplication ablation. A failed sync
-// leg promotes the next replica in ring order to synchronous
-// (straggler promotion): the level counts acks, not positions.
+// is every leg sync. A failed sync leg promotes the next replica in
+// ring order to synchronous (straggler promotion): the level counts
+// acks, not positions.
 // Returns the replica acks collected — an envelope acks only when
 // every leg in it succeeded, so each mutation's acks are the same —
 // and the number of copies (self + alive replicas) the levels were
@@ -1055,7 +919,11 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 	if len(inner.Aux) == 0 {
 		inner.Aux = nil
 	}
-	s, err := in.store(int(req.Partition))
+	p := int(req.Partition)
+	if p < 0 || p >= in.cfg.NumPartitions {
+		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
+	}
+	s, err := in.store(p)
 	if err != nil {
 		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
@@ -1067,16 +935,12 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 	// orders after everything it has applied.
 	if req.Version > 0 {
 		in.clock.Observe(req.Version)
-		vkv, ok := s.(storage.VersionedKV)
-		if !ok {
-			return &wire.Response{Status: wire.StatusError, Err: "core: versioned leg on unversioned store"}
-		}
 		var applied bool
 		switch inner.Op {
 		case wire.OpInsert:
-			applied, err = vkv.PutLWW(inner.Key, inner.Value, req.Version)
+			applied, err = s.PutLWW(inner.Key, inner.Value, req.Version)
 		case wire.OpRemove:
-			applied, err = vkv.RemoveLWW(inner.Key, req.Version)
+			applied, err = s.RemoveLWW(inner.Key, req.Version)
 		default:
 			return &wire.Response{Status: wire.StatusError, Err: "core: bad versioned replica op " + inner.Op.String()}
 		}

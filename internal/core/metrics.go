@@ -62,7 +62,7 @@ func newClientMetrics(reg *metrics.Registry) clientMetrics {
 type instanceMetrics struct {
 	// syncErrors counts synchronous replication legs that failed —
 	// transport errors or non-OK statuses from the first replica (or
-	// any replica under SyncReplication). Each failed leg is a window
+	// any replica at write level All). Each failed leg is a window
 	// where primary and secondary have diverged until the next replica
 	// rebuild repairs it; a non-zero rate means reads served by a
 	// failover replica may be stale.

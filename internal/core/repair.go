@@ -255,9 +255,9 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 
 // repairAuthority returns the instance whose copy of partition p is
 // authoritative for repair: the owner while it is alive, else the
-// first alive replica (the same election handleKV's failover serve
-// and the client's failover routing use, so reads and repair agree on
-// who is canonical). Returns nil when nobody alive holds p.
+// first alive replica (the same election the partition path's
+// failover serve and the client's failover routing use, so reads and
+// repair agree on who is canonical). Returns nil when nobody alive holds p.
 func (in *Instance) repairAuthority(table *ring.Table, p int) (ring.Instance, bool) {
 	idx := table.Owner[p]
 	if table.Status[idx] == ring.Alive {

@@ -326,7 +326,7 @@ func (s *Store) Put(key string, val []byte) error {
 
 // PutV stores val under key with the given version stamp,
 // unconditionally replacing any existing value and version
-// (storage.VersionedKV). Version 0 is the legacy unversioned write —
+// (storage.KV). Version 0 is the legacy unversioned write —
 // Put is exactly PutV(key, val, 0).
 func (s *Store) PutV(key string, val []byte, ver uint64) error {
 	defer s.timeOp(s.putLat)()
@@ -338,7 +338,7 @@ func (s *Store) PutV(key string, val []byte, ver uint64) error {
 }
 
 // PutVTicket is PutV without the durability wait
-// (storage.VersionedKV): the pair is applied and its record submitted
+// (storage.KV): the pair is applied and its record submitted
 // under the shard lock, and the caller owes Commit(ticket) before
 // acknowledging the write.
 func (s *Store) PutVTicket(key string, val []byte, ver uint64) (storage.Ticket, error) {
@@ -353,7 +353,7 @@ func (s *Store) PutVTicket(key string, val []byte, ver uint64) (storage.Ticket, 
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
 // stored version; an absent key always accepts the write
-// (storage.VersionedKV). It reports whether the store was modified.
+// (storage.KV). It reports whether the store was modified.
 func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 	defer s.timeOp(s.putLat)()
 	sh := s.shardOf(key)
@@ -486,7 +486,7 @@ func putRec(b []byte) {
 // shard lock is released: enforce the memory bound, wait for the
 // record's durability level, and trigger auto-compaction. The
 // mutations that return plainly run it themselves; a ticketed one
-// (storage.VersionedKV) leaves it to the caller.
+// (PutVTicket, RemoveTicket) leaves it to the caller.
 func (s *Store) Commit(t storage.Ticket) error {
 	if s.opts.MaxMemValues > 0 && s.resident.Load() > int64(s.opts.MaxMemValues) {
 		if err := s.evictToBound(); err != nil {
@@ -529,7 +529,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return v, ok, err
 }
 
-// GetV is Get plus the stored version stamp (storage.VersionedKV);
+// GetV is Get plus the stored version stamp (storage.KV);
 // the version is 0 for pre-versioning records.
 func (s *Store) GetV(key string) ([]byte, uint64, bool, error) {
 	defer s.timeOp(s.getLat)()
@@ -567,17 +567,10 @@ func (s *Store) GetV(key string) ([]byte, uint64, bool, error) {
 	return append([]byte(nil), e.val...), e.ver, true, nil
 }
 
-// GetAppend implements storage.ScratchGetter: it appends the value
-// stored under key to dst while holding the shard's read lock, so a
-// hot read path costs one copy into a caller-owned scratch buffer and
-// zero allocations. On a miss or error dst is returned unmodified.
-func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool, error) {
-	v, _, ok, err := s.GetAppendV(dst, key)
-	return v, ok, err
-}
-
-// GetAppendV is GetAppend plus the stored version stamp
-// (storage.VersionedKV).
+// GetAppendV is GetV into a caller-owned scratch buffer: it appends
+// the value stored under key to dst while holding the shard's read
+// lock, so a hot read path costs one copy and zero allocations. On a
+// miss or error dst is returned unmodified.
 func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error) {
 	defer s.timeOp(s.getLat)()
 	sh := s.shardOf(key)
@@ -594,7 +587,7 @@ func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error)
 		return dst, ver, true, nil
 	}
 	sh.mu.RUnlock()
-	// Evicted: fault the value in exactly like Get.
+	// Evicted: fault the value in exactly like GetV.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s.closed.Load() {
@@ -634,14 +627,14 @@ func (s *Store) Remove(key string) (bool, error) {
 }
 
 // RemoveLWW deletes key only when ver is strictly newer than the
-// stored version (storage.VersionedKV), reporting whether the key was
+// stored version (storage.KV), reporting whether the key was
 // removed.
 func (s *Store) RemoveLWW(key string, ver uint64) (bool, error) {
 	return s.finishRemove(s.removeVer(key, ver, true))
 }
 
 // RemoveTicket is Remove without the durability wait
-// (storage.VersionedKV); the caller owes Commit(ticket) when it
+// (storage.KV); the caller owes Commit(ticket) when it
 // reports true.
 func (s *Store) RemoveTicket(key string) (bool, storage.Ticket, error) {
 	return s.removeVer(key, 0, false)
@@ -803,7 +796,7 @@ func (s *Store) ForEach(fn func(key string, val []byte) error) error {
 }
 
 // ForEachV is ForEach with each pair's version stamp
-// (storage.VersionedKV).
+// (storage.KV).
 func (s *Store) ForEachV(fn func(key string, val []byte, ver uint64) error) error {
 	s.lockAll()
 	defer s.unlockAll()

@@ -7,14 +7,14 @@ import (
 	"zht/internal/storage"
 )
 
-// The storage.VersionedKV contract on the flagship engine: stamps
-// persist with their values, last-writer-wins mutations never let an
-// older version replace a newer one, and crash replay + compaction
-// both keep the newest stamp.
+// The versioned half of the storage.KV contract on the flagship
+// engine: stamps persist with their values, last-writer-wins
+// mutations never let an older version replace a newer one, and crash
+// replay + compaction both keep the newest stamp.
 
 func TestVersionedPutGet(t *testing.T) {
 	s := openTemp(t, Options{})
-	var _ storage.VersionedKV = s
+	var _ storage.KV = s
 
 	if err := s.PutV("k", []byte("v1"), 10); err != nil {
 		t.Fatal(err)

@@ -11,12 +11,9 @@ import (
 // O(n) scan. It implements storage.KV, which is what makes the digest
 // hook sit on the storage seam: every write path through the instance
 // — primary applies, replica applies, migration imports — updates the
-// digest for free. When the wrapped store persists version stamps
-// (storage.VersionedKV), Tracked passes the versioned operations
-// through and folds each pair's stamp into its digest hash
-// (PairHashV), so replicas holding the same bytes under different
-// versions still diff as divergent; wrapping an unversioned store
-// degrades to version-0 hashing, today's digests.
+// digest for free. Tracked folds each pair's version stamp into its
+// digest hash (PairHashV), so replicas holding the same bytes under
+// different versions still diff as divergent.
 //
 // Mutations of keys in the same leaf are serialized by a per-leaf
 // lock: the read-modify (fetch the old value, apply, toggle old out
@@ -29,7 +26,6 @@ import (
 // never holds up the rest of its leaf.
 type Tracked struct {
 	inner storage.KV
-	vkv   storage.VersionedKV // non-nil when inner persists versions
 	d     *Digest
 	locks [Leaves]sync.Mutex
 }
@@ -39,19 +35,10 @@ type Tracked struct {
 // incremental state is gone, so it is recomputed once).
 func Track(inner storage.KV) (*Tracked, error) {
 	t := &Tracked{inner: inner, d: NewDigest()}
-	t.vkv, _ = inner.(storage.VersionedKV)
-	var err error
-	if t.vkv != nil {
-		err = t.vkv.ForEachV(func(key string, val []byte, ver uint64) error {
-			t.d.ToggleV(key, val, ver)
-			return nil
-		})
-	} else {
-		err = inner.ForEach(func(key string, val []byte) error {
-			t.d.Toggle(key, val)
-			return nil
-		})
-	}
+	err := inner.ForEachV(func(key string, val []byte, ver uint64) error {
+		t.d.ToggleV(key, val, ver)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +47,6 @@ func Track(inner storage.KV) (*Tracked, error) {
 
 // Digest returns the maintained digest.
 func (t *Tracked) Digest() *Digest { return t.d }
-
-// Versioned reports whether the wrapped store persists version
-// stamps; consumers that need LWW semantics check this before
-// trusting the versioned methods with conflict resolution.
-func (t *Tracked) Versioned() bool { return t.vkv != nil }
 
 // oldPool recycles the scratch buffers mutations read the pre-image
 // into: every overwrite must toggle the old pair out of the digest,
@@ -85,17 +67,6 @@ func putOld(sp *[]byte, old []byte) {
 	oldPool.Put(sp)
 }
 
-// oldPair reads key's current value (into dst) and version: the
-// pre-image every mutation must toggle out of the digest. Version is
-// 0 when the wrapped store is unversioned.
-func (t *Tracked) oldPair(dst []byte, key string) ([]byte, uint64, bool, error) {
-	if t.vkv != nil {
-		return t.vkv.GetAppendV(dst, key)
-	}
-	val, found, err := t.GetAppend(dst, key)
-	return val, 0, found, err
-}
-
 // Put stores val under key, replacing any existing value. The stored
 // pair becomes unversioned (version 0), matching the engine's plain
 // Put.
@@ -104,8 +75,7 @@ func (t *Tracked) Put(key string, val []byte) error {
 }
 
 // PutV stores val under key with the given version stamp,
-// unconditionally (storage.VersionedKV). On an unversioned inner
-// store the stamp is dropped.
+// unconditionally.
 func (t *Tracked) PutV(key string, val []byte, ver uint64) error {
 	tk, err := t.PutVTicket(key, val, ver)
 	if err != nil {
@@ -114,28 +84,20 @@ func (t *Tracked) PutV(key string, val []byte, ver uint64) error {
 	return t.Commit(tk)
 }
 
-// PutVTicket is PutV without the durability wait
-// (storage.VersionedKV): the pair is applied and the digest updated
-// under the leaf lock, and the caller owes Commit(ticket). Over an
-// unversioned inner store the put completes in full and the ticket is
-// zero.
+// PutVTicket is PutV without the durability wait: the pair is applied
+// and the digest updated under the leaf lock, and the caller owes
+// Commit(ticket).
 func (t *Tracked) PutVTicket(key string, val []byte, ver uint64) (storage.Ticket, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
 	sp := oldPool.Get().(*[]byte)
-	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
+	old, oldVer, had, err := t.inner.GetAppendV((*sp)[:0], key)
 	defer putOld(sp, old)
 	if err != nil {
 		return storage.Ticket{}, err
 	}
-	var tk storage.Ticket
-	if t.vkv != nil {
-		tk, err = t.vkv.PutVTicket(key, val, ver)
-	} else {
-		ver = 0
-		err = t.inner.Put(key, val)
-	}
+	tk, err := t.inner.PutVTicket(key, val, ver)
 	if err != nil {
 		return storage.Ticket{}, err
 	}
@@ -146,39 +108,22 @@ func (t *Tracked) PutVTicket(key string, val []byte, ver uint64) (storage.Ticket
 	return tk, nil
 }
 
-// Commit waits for a ticketed mutation to become durable
-// (storage.VersionedKV).
-func (t *Tracked) Commit(tk storage.Ticket) error {
-	if t.vkv == nil {
-		return nil
-	}
-	return t.vkv.Commit(tk)
-}
+// Commit waits for a ticketed mutation to become durable.
+func (t *Tracked) Commit(tk storage.Ticket) error { return t.inner.Commit(tk) }
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
-// stored version (storage.VersionedKV); it reports whether the store
-// was modified. On an unversioned inner store every stored pair
-// counts as version 0.
+// stored version; it reports whether the store was modified.
 func (t *Tracked) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
 	sp := oldPool.Get().(*[]byte)
-	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
+	old, oldVer, had, err := t.inner.GetAppendV((*sp)[:0], key)
 	defer putOld(sp, old)
 	if err != nil {
 		return false, err
 	}
-	var applied bool
-	if t.vkv != nil {
-		applied, err = t.vkv.PutLWW(key, val, ver)
-	} else {
-		if had && oldVer >= ver {
-			return false, nil
-		}
-		ver = 0
-		applied, err = true, t.inner.Put(key, val)
-	}
+	applied, err := t.inner.PutLWW(key, val, ver)
 	if err != nil || !applied {
 		return false, err
 	}
@@ -190,14 +135,13 @@ func (t *Tracked) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 }
 
 // RemoveLWW deletes key only when ver is strictly newer than the
-// stored version (storage.VersionedKV), reporting whether the key was
-// removed.
+// stored version, reporting whether the key was removed.
 func (t *Tracked) RemoveLWW(key string, ver uint64) (bool, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
 	sp := oldPool.Get().(*[]byte)
-	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
+	old, oldVer, had, err := t.inner.GetAppendV((*sp)[:0], key)
 	defer putOld(sp, old)
 	if err != nil {
 		return false, err
@@ -205,15 +149,7 @@ func (t *Tracked) RemoveLWW(key string, ver uint64) (bool, error) {
 	if !had {
 		return false, nil
 	}
-	var removed bool
-	if t.vkv != nil {
-		removed, err = t.vkv.RemoveLWW(key, ver)
-	} else {
-		if oldVer >= ver {
-			return false, nil
-		}
-		removed, err = t.inner.Remove(key)
-	}
+	removed, err := t.inner.RemoveLWW(key, ver)
 	if err != nil || !removed {
 		return false, err
 	}
@@ -236,39 +172,14 @@ func (t *Tracked) PutIfAbsent(key string, val []byte) (bool, error) {
 // Get returns a copy of the value stored under key.
 func (t *Tracked) Get(key string) ([]byte, bool, error) { return t.inner.Get(key) }
 
-// GetV is Get plus the stored version stamp (storage.VersionedKV);
-// always 0 over an unversioned inner store.
-func (t *Tracked) GetV(key string) ([]byte, uint64, bool, error) {
-	if t.vkv != nil {
-		return t.vkv.GetV(key)
-	}
-	val, found, err := t.inner.Get(key)
-	return val, 0, found, err
-}
+// GetV is Get plus the stored version stamp.
+func (t *Tracked) GetV(key string) ([]byte, uint64, bool, error) { return t.inner.GetV(key) }
 
-// GetAppend appends key's value to dst, preserving the wrapped
-// store's storage.ScratchGetter upgrade: reads do not touch the
-// digest, so the wrapper would otherwise only hide the copy-free
-// path. Falls back to Get when the inner store lacks it.
-func (t *Tracked) GetAppend(dst []byte, key string) ([]byte, bool, error) {
-	if sg, ok := t.inner.(storage.ScratchGetter); ok {
-		return sg.GetAppend(dst, key)
-	}
-	val, found, err := t.inner.Get(key)
-	if err != nil || !found {
-		return dst, found, err
-	}
-	return append(dst, val...), true, nil
-}
-
-// GetAppendV is GetAppend plus the stored version stamp
-// (storage.VersionedKV).
+// GetAppendV appends key's value to dst and returns it with the stored
+// version stamp; reads do not touch the digest, so the wrapped
+// store's copy-free path passes straight through.
 func (t *Tracked) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error) {
-	if t.vkv != nil {
-		return t.vkv.GetAppendV(dst, key)
-	}
-	val, found, err := t.GetAppend(dst, key)
-	return val, 0, found, err
+	return t.inner.GetAppendV(dst, key)
 }
 
 // Remove deletes key, reporting whether it was present.
@@ -280,27 +191,19 @@ func (t *Tracked) Remove(key string) (bool, error) {
 	return true, t.Commit(tk)
 }
 
-// RemoveTicket is Remove without the durability wait
-// (storage.VersionedKV); the caller owes Commit(ticket) when it
-// reports true. Over an unversioned inner store the removal completes
-// in full and the ticket is zero.
+// RemoveTicket is Remove without the durability wait; the caller owes
+// Commit(ticket) when it reports true.
 func (t *Tracked) RemoveTicket(key string) (bool, storage.Ticket, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
 	sp := oldPool.Get().(*[]byte)
-	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
+	old, oldVer, had, err := t.inner.GetAppendV((*sp)[:0], key)
 	defer putOld(sp, old)
 	if err != nil {
 		return false, storage.Ticket{}, err
 	}
-	var ok bool
-	var tk storage.Ticket
-	if t.vkv != nil {
-		ok, tk, err = t.vkv.RemoveTicket(key)
-	} else {
-		ok, err = t.inner.Remove(key)
-	}
+	ok, tk, err := t.inner.RemoveTicket(key)
 	if err != nil || !ok {
 		return false, storage.Ticket{}, err
 	}
@@ -318,7 +221,7 @@ func (t *Tracked) Append(key string, val []byte) error {
 	l.Lock()
 	defer l.Unlock()
 	sp := oldPool.Get().(*[]byte)
-	old, oldVer, had, err := t.oldPair((*sp)[:0], key)
+	old, oldVer, had, err := t.inner.GetAppendV((*sp)[:0], key)
 	if err != nil {
 		putOld(sp, old)
 		return err
@@ -348,13 +251,9 @@ func (t *Tracked) Cas(key string, oldVal, newVal []byte) (bool, []byte, error) {
 	l := &t.locks[LeafOf(key)]
 	l.Lock()
 	defer l.Unlock()
-	var oldVer uint64
-	if t.vkv != nil {
-		_, v, _, err := t.vkv.GetV(key)
-		if err != nil {
-			return false, nil, err
-		}
-		oldVer = v
+	_, oldVer, _, err := t.inner.GetV(key)
+	if err != nil {
+		return false, nil, err
 	}
 	swapped, cur, err := t.inner.Cas(key, oldVal, newVal)
 	if err == nil && swapped {
@@ -374,16 +273,10 @@ func (t *Tracked) ForEach(fn func(key string, val []byte) error) error {
 	return t.inner.ForEach(fn)
 }
 
-// ForEachV calls fn for every pair with its version
-// (storage.VersionedKV); versions are 0 over an unversioned inner
-// store.
+// ForEachV calls fn for every pair with its version; fn must not
+// mutate the store.
 func (t *Tracked) ForEachV(fn func(key string, val []byte, ver uint64) error) error {
-	if t.vkv != nil {
-		return t.vkv.ForEachV(fn)
-	}
-	return t.inner.ForEach(func(key string, val []byte) error {
-		return fn(key, val, 0)
-	})
+	return t.inner.ForEachV(fn)
 }
 
 // Sync flushes buffered state and fsyncs backing storage.

@@ -9,19 +9,13 @@ import (
 	"zht/internal/storage"
 )
 
-// versionedKV is the engine-facing view of a versioned store.
-type versionedKV interface {
-	storage.KV
-	storage.VersionedKV
-}
-
 // slowCommitKV is a versioned store whose durability waits block until
 // release is closed: a stand-in for a group commit that takes its
 // time. PutV and Remove wait through the same gate as Commit, so a
 // wrapper that still held its leaf lock across the whole mutation
 // would block there too.
 type slowCommitKV struct {
-	versionedKV
+	storage.KV
 	entered chan struct{} // one send per wait that starts
 	release chan struct{}
 }
@@ -29,11 +23,11 @@ type slowCommitKV struct {
 func (s *slowCommitKV) Commit(t storage.Ticket) error {
 	s.entered <- struct{}{}
 	<-s.release
-	return s.versionedKV.Commit(t)
+	return s.KV.Commit(t)
 }
 
 func (s *slowCommitKV) PutV(key string, val []byte, ver uint64) error {
-	t, err := s.versionedKV.PutVTicket(key, val, ver)
+	t, err := s.KV.PutVTicket(key, val, ver)
 	if err != nil {
 		return err
 	}
@@ -41,7 +35,7 @@ func (s *slowCommitKV) PutV(key string, val []byte, ver uint64) error {
 }
 
 func (s *slowCommitKV) Remove(key string) (bool, error) {
-	ok, t, err := s.versionedKV.RemoveTicket(key)
+	ok, t, err := s.KV.RemoveTicket(key)
 	if err != nil || !ok {
 		return ok, err
 	}
@@ -53,7 +47,7 @@ func (s *slowCommitKV) Remove(key string) (bool, error) {
 // reaches its own wait, and the digest maintained across both equals
 // one rebuilt from the store.
 func TestTrackedReleasesLeafLockBeforeCommit(t *testing.T) {
-	inner := &slowCommitKV{versionedKV: openMem(t).(versionedKV), entered: make(chan struct{}, 4), release: make(chan struct{})}
+	inner := &slowCommitKV{KV: openMem(t), entered: make(chan struct{}, 4), release: make(chan struct{})}
 	tr, err := Track(inner)
 	if err != nil {
 		t.Fatal(err)

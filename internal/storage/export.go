@@ -23,9 +23,9 @@ var ExportMagic = []byte("NOVOEXP1")
 // key and value lengths, the key, the value, and a CRC32 of all of
 // the preceding bytes; tag 0 marks a clean end of stream. Tag 2 is a
 // versioned pair: identical, plus a version-stamp uvarint between the
-// value length and the key. Versioned sources emit tag 2 only for
-// pairs with a non-zero stamp, so an unversioned store's stream is
-// byte-identical to the pre-versioning format.
+// value length and the key. Export emits tag 2 only for pairs with
+// a non-zero stamp, so a stream of unstamped pairs is byte-identical
+// to the pre-versioning format.
 const (
 	expPair  = 1
 	expEnd   = 0
@@ -34,24 +34,17 @@ const (
 
 var errBadExportRecord = errors.New("storage: bad export record checksum")
 
-// Export writes a self-contained snapshot of kv to w. When kv
-// persists version stamps (VersionedKV), they travel with the pairs
-// so an import applies last-writer-wins correctly.
+// Export writes a self-contained snapshot of kv to w. Version stamps
+// travel with the pairs so an import applies last-writer-wins
+// correctly.
 func Export(w io.Writer, kv KV) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(ExportMagic); err != nil {
 		return err
 	}
-	var err error
-	if vkv, ok := kv.(VersionedKV); ok {
-		err = vkv.ForEachV(func(key string, val []byte, ver uint64) error {
-			return writeExportRecord(bw, key, val, ver)
-		})
-	} else {
-		err = kv.ForEach(func(key string, val []byte) error {
-			return writeExportRecord(bw, key, val, 0)
-		})
-	}
+	err := kv.ForEachV(func(key string, val []byte, ver uint64) error {
+		return writeExportRecord(bw, key, val, ver)
+	})
 	if err != nil {
 		return err
 	}
@@ -62,10 +55,9 @@ func Export(w io.Writer, kv KV) error {
 }
 
 // Import loads pairs from an Export stream into kv, replacing values
-// for keys that already exist. Versioned pairs land through PutV when
-// kv supports it (preserving the stamp for later LWW resolution);
-// otherwise the stamp is dropped and the pair imported plain. It
-// returns the number of pairs imported.
+// for keys that already exist. Versioned pairs land through PutV,
+// preserving the stamp for later LWW resolution; version-0 pairs
+// import as plain puts. It returns the number of pairs imported.
 func Import(r io.Reader, kv KV) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(ExportMagic))
@@ -75,7 +67,6 @@ func Import(r io.Reader, kv KV) (int, error) {
 	if string(magic) != string(ExportMagic) {
 		return 0, errors.New("storage: import: bad magic")
 	}
-	vkv, _ := kv.(VersionedKV)
 	count := 0
 	for {
 		tag, err := br.ReadByte()
@@ -92,8 +83,8 @@ func Import(r io.Reader, kv KV) (int, error) {
 		if err != nil {
 			return count, fmt.Errorf("storage: import: %w", err)
 		}
-		if ver > 0 && vkv != nil {
-			err = vkv.PutV(key, val, ver)
+		if ver > 0 {
+			err = kv.PutV(key, val, ver)
 		} else {
 			err = kv.Put(key, val)
 		}

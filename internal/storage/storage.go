@@ -24,6 +24,15 @@ import (
 
 // KV is one partition store. Implementations must be safe for
 // concurrent use by multiple goroutines.
+//
+// Every store persists a version stamp alongside each value. Tunable
+// consistency needs it: replicas resolve concurrent writes
+// last-writer-wins on the version, and quorum reads compare versions
+// across copies. Versions are opaque uint64s ordered by numeric
+// comparison (internal/core stamps them from a hybrid logical clock);
+// version 0 means "unversioned" and loses to any stamped write. The
+// unversioned methods (Put, Append, Cas, ...) keep a pair's stamp or
+// write version 0.
 type KV interface {
 	// Put stores val under key, replacing any existing value.
 	Put(key string, val []byte) error
@@ -51,31 +60,7 @@ type KV interface {
 	Stats() Stats
 	// Close flushes durable state and closes the store.
 	Close() error
-}
 
-// ScratchGetter is an optional KV extension for allocation-free
-// reads: GetAppend appends the value stored under key to dst (a
-// caller-owned scratch buffer) instead of allocating a fresh copy per
-// read. It returns dst — possibly grown — alongside the same
-// presence/error results as Get; on a miss or error dst is returned
-// unmodified. Engines that can copy a value straight out of their
-// shard under its read lock should implement it; consumers
-// type-assert and fall back to Get.
-type ScratchGetter interface {
-	GetAppend(dst []byte, key string) ([]byte, bool, error)
-}
-
-// VersionedKV is an optional KV extension for stores that persist a
-// version stamp alongside each value. Tunable consistency needs it:
-// replicas resolve concurrent writes last-writer-wins on the version,
-// and quorum reads compare versions across copies. Versions are
-// opaque uint64s ordered by numeric comparison (internal/core stamps
-// them from a hybrid logical clock); version 0 means "unversioned"
-// and loses to any stamped write. Engines that cannot persist the
-// stamp simply do not implement the interface; consumers type-assert
-// and fall back to the unversioned methods (degrading to
-// blind-overwrite semantics, today's behavior).
-type VersionedKV interface {
 	// PutV stores val under key with the given version,
 	// unconditionally replacing any existing value and version.
 	PutV(key string, val []byte, ver uint64) error
@@ -92,7 +77,11 @@ type VersionedKV interface {
 	// GetV is Get plus the stored version (0 for pre-versioning
 	// records).
 	GetV(key string) (val []byte, ver uint64, found bool, err error)
-	// GetAppendV is GetAppend plus the stored version.
+	// GetAppendV is the allocation-free read: it appends the value
+	// stored under key to dst (a caller-owned scratch buffer) instead
+	// of allocating a fresh copy, and returns dst — possibly grown —
+	// with the stored version and the same presence/error results as
+	// GetV. On a miss or error dst is returned unmodified.
 	GetAppendV(dst []byte, key string) (val []byte, ver uint64, found bool, err error)
 	// ForEachV calls fn for every pair with its version; fn must not
 	// mutate the store.
@@ -115,7 +104,7 @@ type VersionedKV interface {
 }
 
 // Ticket names a mutation whose log record has been submitted but not
-// yet waited for (VersionedKV.PutVTicket, RemoveTicket). Records
+// yet waited for (KV.PutVTicket, RemoveTicket). Records
 // submitted to one store commit in submission order, so waiting on the
 // latest ticket covers every earlier one. Engines without a log return
 // the zero Ticket.

@@ -65,11 +65,7 @@ func main() {
 	}
 	checkMetricCatalogue(fail)
 	checkStorageBoundary(fail)
-	checkRepairContract(fail)
-	checkMembershipContract(fail)
-	checkPoolContract(fail)
-	checkConsistencyContract(fail)
-	checkTenantContract(fail)
+	checkContracts(fail)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -297,262 +293,153 @@ func checkStorageBoundary(fail func(string, ...any)) {
 	}
 }
 
-// repairMetrics is the canonical metric set of the replica repair
-// subsystem (DESIGN.md §9). checkMetricCatalogue only verifies
-// registered → catalogued; this check pins both directions for these
-// names, so deleting either the registration or the catalogue row
-// fails the gate.
-var repairMetrics = []string{
-	"zht.repair.digest_syncs",
-	"zht.repair.ranges_pulled",
-	"zht.repair.handoff.queued",
-	"zht.repair.handoff.replayed",
-	"zht.repair.handoff.dropped",
+// contracts are the subsystem metric contracts. checkMetricCatalogue
+// only verifies registered → catalogued; a contract pins both
+// directions for its canonical names, so deleting either the
+// registration or the catalogue row fails the gate. Each subsystem is
+// diagnosed in the field by exactly these names.
+var contracts = []struct {
+	// label names the contract in failure messages.
+	label string
+	// required lists directories under internal/ that must exist
+	// (their package comments are enforced by checkPackageComments),
+	// and subsystem names what is missing when one does not.
+	required  []string
+	subsystem string
+	// sources lists the directories under internal/ whose non-test
+	// source must register every name.
+	sources []string
+	metrics []string
+}{
+	{
+		// The replica repair subsystem (DESIGN.md §9): convergence
+		// debugging depends on these.
+		label: "repair", required: []string{"repair"}, subsystem: "the replica repair subsystem",
+		sources: []string{"repair", "core"},
+		metrics: []string{
+			"zht.repair.digest_syncs",
+			"zht.repair.ranges_pulled",
+			"zht.repair.handoff.queued",
+			"zht.repair.handoff.replayed",
+			"zht.repair.handoff.dropped",
+		},
+	},
+	{
+		// Elastic membership — epoch gossip plus the throttled online
+		// migration engine (DESIGN.md §10).
+		label: "membership", required: []string{"gossip"}, subsystem: "the membership gossip subsystem",
+		sources: []string{"gossip", "core"},
+		metrics: []string{
+			"zht.membership.epoch",
+			"zht.membership.stale_detected",
+			"zht.membership.gossip.pulls",
+			"zht.membership.gossip.advanced",
+			"zht.membership.gossip.full_tables",
+			"zht.migrate.partitions",
+			"zht.migrate.pairs",
+			"zht.migrate.bytes",
+			"zht.migrate.rounds",
+			"zht.migrate.cutovers",
+			"zht.migrate.aborts",
+			"zht.migrate.throttle_ns",
+		},
+	},
+	{
+		// The hot-path message and buffer pools (DESIGN.md §11): a
+		// pooled-buffer leak (gets outrunning puts) is diagnosed by
+		// these counters.
+		label:   "pool",
+		sources: []string{"wire", "transport"},
+		metrics: []string{
+			"zht.wire.pool.gets",
+			"zht.wire.pool.puts",
+			"zht.wire.pool.misses",
+			"zht.transport.buf.reuse",
+		},
+	},
+	{
+		// Tunable consistency (DESIGN.md §12): quorum traffic,
+		// read-repair activity and LWW conflict resolution.
+		label:   "consistency",
+		sources: []string{"core"},
+		metrics: []string{
+			"zht.consistency.quorum_reads",
+			"zht.consistency.quorum_writes",
+			"zht.consistency.stale_reads_repaired",
+			"zht.consistency.version_conflicts",
+		},
+	},
+	{
+		// The multi-tenant front door (DESIGN.md §13): admission
+		// verdicts and in-flight pressure, lazy expiry and reaping,
+		// and the memcached gateway's counters — how a shed tenant or
+		// a cold cache is told apart from an outage.
+		label: "tenancy", required: []string{"tenant", "memcached"}, subsystem: "the multi-tenant front door",
+		sources: []string{"tenant", "memcached", "core"},
+		metrics: []string{
+			"zht.tenant.admitted",
+			"zht.tenant.shed",
+			"zht.tenant.inflight",
+			"zht.tenant.expired_reads",
+			"zht.tenant.reaped",
+			"zht.memcached.conns",
+			"zht.memcached.cmds",
+			"zht.memcached.hits",
+			"zht.memcached.misses",
+			"zht.memcached.errors",
+		},
+	},
 }
 
-// checkRepairContract requires every canonical repair metric to be
-// registered in internal/{repair,core} non-test source and catalogued
-// in OBSERVABILITY.md, and internal/repair itself to exist (its
-// package comment is enforced by checkPackageComments).
-func checkRepairContract(fail func(string, ...any)) {
-	if fi, err := os.Stat(filepath.Join("internal", "repair")); err != nil || !fi.IsDir() {
-		fail("internal/repair is missing; the replica repair subsystem is mandatory")
+// checkContracts requires, for every contract, its required packages
+// to exist and each of its metrics to be registered in its source
+// directories and catalogued in OBSERVABILITY.md.
+func checkContracts(fail func(string, ...any)) {
+	catalogue, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		fail("OBSERVABILITY.md: %v", err)
 		return
 	}
-	var src strings.Builder
-	for _, root := range []string{filepath.Join("internal", "repair"), filepath.Join("internal", "core")} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
+next:
+	for _, c := range contracts {
+		for _, dir := range c.required {
+			if fi, err := os.Stat(filepath.Join("internal", dir)); err != nil || !fi.IsDir() {
+				fail("internal/%s is missing; %s is mandatory", dir, c.subsystem)
+				continue next
+			}
+		}
+		var src strings.Builder
+		where := make([]string, len(c.sources))
+		for i, dir := range c.sources {
+			where[i] = "internal/" + dir
+			filepath.WalkDir(filepath.Join("internal", dir), func(path string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
+					strings.HasSuffix(path, "_test.go") {
+					return nil
+				}
+				if b, err := os.ReadFile(path); err == nil {
+					src.Write(b)
+				}
 				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range repairMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("repair metric %q is not registered in internal/repair or internal/core", name)
+			})
 		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("repair metric %q is not catalogued in OBSERVABILITY.md", name)
+		for _, name := range c.metrics {
+			if !strings.Contains(src.String(), `"`+name+`"`) {
+				fail("%s metric %q is not registered in %s", c.label, name, orList(where))
+			}
+			if !strings.Contains(string(catalogue), name) {
+				fail("%s metric %q is not catalogued in OBSERVABILITY.md", c.label, name)
+			}
 		}
 	}
 }
 
-// membershipMetrics is the canonical metric set of the elastic
-// membership subsystem — epoch gossip plus the throttled online
-// migration engine (DESIGN.md §10). As with the repair contract, both
-// directions are pinned: registration in source and a catalogue row.
-var membershipMetrics = []string{
-	"zht.membership.epoch",
-	"zht.membership.stale_detected",
-	"zht.membership.gossip.pulls",
-	"zht.membership.gossip.advanced",
-	"zht.membership.gossip.full_tables",
-	"zht.migrate.partitions",
-	"zht.migrate.pairs",
-	"zht.migrate.bytes",
-	"zht.migrate.rounds",
-	"zht.migrate.cutovers",
-	"zht.migrate.aborts",
-	"zht.migrate.throttle_ns",
-}
-
-// checkMembershipContract requires every canonical membership metric
-// to be registered in internal/{gossip,core} non-test source and
-// catalogued in OBSERVABILITY.md, and internal/gossip itself to
-// exist.
-func checkMembershipContract(fail func(string, ...any)) {
-	if fi, err := os.Stat(filepath.Join("internal", "gossip")); err != nil || !fi.IsDir() {
-		fail("internal/gossip is missing; the membership gossip subsystem is mandatory")
-		return
+// orList joins items as prose: "a", "a or b", "a, b, or c".
+func orList(items []string) string {
+	if len(items) < 3 {
+		return strings.Join(items, " or ")
 	}
-	var src strings.Builder
-	for _, root := range []string{filepath.Join("internal", "gossip"), filepath.Join("internal", "core")} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range membershipMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("membership metric %q is not registered in internal/gossip or internal/core", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("membership metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
-}
-
-// poolMetrics is the canonical metric set of the hot-path message and
-// buffer pools (DESIGN.md §11). As with the repair and membership
-// contracts, both directions are pinned: deleting either the
-// registration (internal/wire or internal/transport) or the catalogue
-// row in OBSERVABILITY.md fails the gate, because a pooled-buffer
-// leak is diagnosed by exactly these counters.
-var poolMetrics = []string{
-	"zht.wire.pool.gets",
-	"zht.wire.pool.puts",
-	"zht.wire.pool.misses",
-	"zht.transport.buf.reuse",
-}
-
-// checkPoolContract requires every canonical pool metric to be
-// registered in internal/{wire,transport} non-test source and
-// catalogued in OBSERVABILITY.md.
-func checkPoolContract(fail func(string, ...any)) {
-	var src strings.Builder
-	for _, root := range []string{filepath.Join("internal", "wire"), filepath.Join("internal", "transport")} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range poolMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("pool metric %q is not registered in internal/wire or internal/transport", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("pool metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
-}
-
-// consistencyMetrics is the canonical metric set of the tunable
-// consistency subsystem (DESIGN.md §12). Both directions are pinned,
-// as with the other contracts: quorum traffic, read-repair activity,
-// and LWW conflict resolution must stay observable, and the
-// catalogue may not advertise rows the code no longer registers.
-var consistencyMetrics = []string{
-	"zht.consistency.quorum_reads",
-	"zht.consistency.quorum_writes",
-	"zht.consistency.stale_reads_repaired",
-	"zht.consistency.version_conflicts",
-}
-
-// checkConsistencyContract requires every canonical consistency
-// metric to be registered in internal/core non-test source and
-// catalogued in OBSERVABILITY.md.
-func checkConsistencyContract(fail func(string, ...any)) {
-	var src strings.Builder
-	filepath.WalkDir(filepath.Join("internal", "core"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-			strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		if b, err := os.ReadFile(path); err == nil {
-			src.Write(b)
-		}
-		return nil
-	})
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range consistencyMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("consistency metric %q is not registered in internal/core", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("consistency metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
-}
-
-// tenantMetrics is the canonical metric set of the multi-tenant front
-// door (DESIGN.md §13): admission verdicts and in-flight pressure in
-// internal/tenant, lazy-expiry/reaper activity in internal/core, and
-// the memcached gateway's connection and command counters in
-// internal/memcached. Both directions are pinned, as with the other
-// contracts: a shed tenant or a cold cache is diagnosed with exactly
-// these names, so neither the registration nor the catalogue row may
-// silently disappear.
-var tenantMetrics = []string{
-	"zht.tenant.admitted",
-	"zht.tenant.shed",
-	"zht.tenant.inflight",
-	"zht.tenant.expired_reads",
-	"zht.tenant.reaped",
-	"zht.memcached.conns",
-	"zht.memcached.cmds",
-	"zht.memcached.hits",
-	"zht.memcached.misses",
-	"zht.memcached.errors",
-}
-
-// checkTenantContract requires every canonical tenancy metric to be
-// registered in internal/{tenant,memcached,core} non-test source and
-// catalogued in OBSERVABILITY.md, and the tenant and memcached
-// packages themselves to exist (their package comments are enforced
-// by checkPackageComments).
-func checkTenantContract(fail func(string, ...any)) {
-	for _, dir := range []string{"tenant", "memcached"} {
-		if fi, err := os.Stat(filepath.Join("internal", dir)); err != nil || !fi.IsDir() {
-			fail("internal/%s is missing; the multi-tenant front door is mandatory", dir)
-			return
-		}
-	}
-	var src strings.Builder
-	for _, root := range []string{
-		filepath.Join("internal", "tenant"),
-		filepath.Join("internal", "memcached"),
-		filepath.Join("internal", "core"),
-	} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range tenantMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("tenancy metric %q is not registered in internal/tenant, internal/memcached, or internal/core", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("tenancy metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
+	return strings.Join(items[:len(items)-1], ", ") + ", or " + items[len(items)-1]
 }
 
 func sortedKeys(m map[string][]string) []string {
